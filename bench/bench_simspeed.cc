@@ -153,6 +153,7 @@ void RunThroughput(benchmark::State& state, const char* workload, Engine engine)
         benchmark::Counter(static_cast<double>(ts.flag_materializations));
     state.counters["trace_probes_elided"] =
         benchmark::Counter(static_cast<double>(ts.probes_elided));
+    state.counters["trace_demotions"] = benchmark::Counter(static_cast<double>(ts.demotions));
   }
 }
 

@@ -94,7 +94,10 @@ pd_shared:
   .space 64
 )",
                           &aerr);
-  auto bad = kext.LoadExtension("buggy", *bad_obj, &diag);
+  if (!kext.LoadExtension("buggy", *bad_obj, &diag)) {
+    std::fprintf(stderr, "insmod buggy: %s\n", diag.c_str());
+    return 1;
+  }
   auto bad_fid = kext.FindFunction("buggy:filter_run");
   auto bad_result = kext.Invoke(*bad_fid, 0);
   std::printf("buggy filter invocation: %s\n",

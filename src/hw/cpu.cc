@@ -1430,12 +1430,29 @@ run_start:
       d->trace = ti;
     }
     if (ti < kTraceUntraceable) {
-      const TraceExit te =
-          ExecTrace(page, *page->traces[ti], gen0, until, d->run_cost_max, stop);
+      const u32 trace_eip = eip_;
+      Trace& t = *page->traces[ti];
+      const TraceExit te = ExecTrace(page, t, gen0, until, d->run_cost_max, stop);
+      if (__builtin_expect(t.calls == kTraceProbation, 0) &&
+          t.insns < u64{kTraceMinYield} * kTraceProbation) {
+        // Probation over and the yield is below break-even: the block
+        // engine runs this run from now on. Engine choice is invisible to
+        // architectural state, so the switch can happen at any exit.
+        ++trace_stats_.demotions;
+        if (recorder_ != nullptr) {
+          recorder_->Record(obs_track_, cycles_, obs::EventType::kTraceDemote,
+                            obs::EventClass::kEngine, trace_eip,
+                            static_cast<u32>(t.insns / kTraceProbation));
+        }
+        page->traces[ti].reset();
+        d->trace = kTraceUntraceable;
+      }
       if (te == TraceExit::kStopped) PALLADIUM_BLOCK_EXIT(BlockExit::kStopped);
+      if (te == TraceExit::kBranch) goto yield;
       if (te == TraceExit::kYield) {
-        // The decode generation changed mid-body: a store (local or remote)
-        // invalidated the trace's page and the body exited at the boundary.
+        // The decode generation changed during the call: a store (local or
+        // remote) invalidated decoded code and the trace exited at the
+        // boundary.
         if (recorder_ != nullptr) {
           recorder_->Record(obs_track_, cycles_, obs::EventType::kTraceInvalidate,
                             obs::EventClass::kEngine, eip_, 0);
@@ -1686,6 +1703,8 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t,
     trace_stats_.probes_elided += elided;               \
     trace_stats_.entries += 1 + iters;                  \
     trace_stats_.uop_insns += instructions_ - insns0;   \
+    ++t.calls;                                          \
+    t.insns += instructions_ - insns0;                  \
   } while (0)
 
   Uop* const ubegin = t.uops.data();
@@ -2222,7 +2241,9 @@ u_jcc: {
     eflags_ = MaterializeFlags(fc, eflags_);
     ++trace_stats_.flag_materializations;
   }
-  return TraceExit::kYield;
+  // A generation that moved during the call is a real invalidation: report
+  // it as kYield, the way a mid-body store's exit is reported.
+  return dcache_.generation() != gen0 ? TraceExit::kYield : TraceExit::kBranch;
 }
 
 u_cmpjcc: {
@@ -2270,7 +2291,7 @@ u_cmpjcc: {
   PALLADIUM_TRACE_FLUSH_STATS();
   eflags_ = MaterializeFlags(fc, eflags_);
   ++trace_stats_.flag_materializations;
-  return TraceExit::kYield;
+  return dcache_.generation() != gen0 ? TraceExit::kYield : TraceExit::kBranch;
 }
 #undef PALLADIUM_UOP_NEXT
 

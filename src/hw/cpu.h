@@ -157,6 +157,21 @@ class Cpu {
   void set_trace_engine_enabled(bool enabled) { trace_engine_enabled_ = enabled; }
   bool trace_engine_enabled() const { return trace_engine_enabled_; }
 
+  // Promotion threshold: run-head executions before lowering. High enough
+  // that cold code never pays the lowering cost, low enough that any loop
+  // worth measuring gets promoted almost immediately.
+  static constexpr u16 kTraceHotThreshold = 16;
+  // Admission by yield. A trace's first kTraceProbation executor calls are
+  // its probation. If they retired fewer than kTraceMinYield instructions
+  // per call (in-place loop-backs included), entry and exit cost more than
+  // the micro-ops save, and the run goes back to the block engine until its
+  // page is rebuilt. kTraceMinYield is the measured break-even of a trace
+  // that leaves through its Jcc terminator, the costlier exit (README,
+  // "Admission by yield"). kTraceProbation equals the hot threshold: a doomed
+  // trace runs at most that many losing calls, about twice its lowering cost.
+  static constexpr u32 kTraceProbation = 16;
+  static constexpr u32 kTraceMinYield = 12;
+
   // Trace-tier observability: promotion/elision rates, so regressions in
   // the optimizations themselves (not just end-to-end sim-MIPS) are
   // measurable.
@@ -166,6 +181,7 @@ class Cpu {
     u64 uop_insns = 0;              // instructions retired inside trace bodies
     u64 flag_materializations = 0;  // lazy EFLAGS computed at an exit
     u64 probes_elided = 0;          // D-TLB probes answered by a live pin
+    u64 demotions = 0;              // traces sent back to blocks for low yield
   };
   const TraceStats& trace_stats() const { return trace_stats_; }
 
@@ -217,8 +233,9 @@ class Cpu {
 
   // --- Observability (optional, pure observers) ------------------------------
   // A flight recorder receives IRQ-delivery events (kArch class) and
-  // trace-tier compile/invalidate events (kEngine class) on `track`; a cycle
-  // profiler is switched to Category::kIrq at hardware-interrupt delivery.
+  // trace-tier compile/invalidate/demote events (kEngine class) on `track`;
+  // a cycle profiler is switched to Category::kIrq at hardware-interrupt
+  // delivery.
   // Both only *read* the cycle/stat counters — attaching them cannot perturb
   // execution, so every differential mode stays byte-identical with
   // telemetry on. nullptr detaches.
@@ -304,7 +321,8 @@ class Cpu {
   // the cycle/IRQ frontier; returns how the body ended.
   enum class TraceExit : u8 {
     kBody,     // body fully retired; dispatch the run's final slot
-    kYield,    // decode generation changed mid-body; leave block dispatch
+    kBranch,   // the Jcc terminator left the trace; leave block dispatch
+    kYield,    // decode generation changed during the call; leave block dispatch
     kStopped,  // fault: *stop filled, EIP on the faulting instruction
   };
   TraceExit ExecTrace(DecodeCache::Page* page, Trace& t, u64 gen0, u64 until,
@@ -406,10 +424,6 @@ class Cpu {
   bool block_engine_enabled_ = true;
   BlockStats block_stats_;
   // Hot-trace tier switch (see set_trace_engine_enabled) and counters.
-  // Promotion threshold: run-head executions before lowering. High enough
-  // that cold code never pays the lowering cost, low enough that any loop
-  // worth measuring gets promoted almost immediately.
-  static constexpr u16 kTraceHotThreshold = 16;
   bool trace_engine_enabled_ = true;
   TraceStats trace_stats_;
   // One-entry fetch TLB pinning (linear page -> decoded physical page). An

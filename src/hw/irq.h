@@ -41,7 +41,6 @@ class InterruptController {
   void Raise(u32 irq);
 
   void SetMasked(u32 irq, bool masked);
-  bool IsMasked(u32 irq) const { return (mask_ >> irq) & 1; }
 
   bool HasDeliverable() const { return DeliverableIrq() != kNoIrq; }
 

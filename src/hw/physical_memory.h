@@ -140,11 +140,6 @@ class PhysicalMemory {
     *out = bytes_[addr];
     return true;
   }
-  bool Read16(u32 addr, u16* out) const {
-    if (!Contains(addr, 2)) return false;
-    std::memcpy(out, &bytes_[addr], 2);
-    return true;
-  }
   bool Read32(u32 addr, u32* out) const {
     if (!Contains(addr, 4)) return false;
     std::memcpy(out, &bytes_[addr], 4);
@@ -154,12 +149,6 @@ class PhysicalMemory {
     if (!Contains(addr, 1)) return false;
     bytes_[addr] = v;
     Notify(addr, 1);
-    return true;
-  }
-  bool Write16(u32 addr, u16 v) {
-    if (!Contains(addr, 2)) return false;
-    std::memcpy(&bytes_[addr], &v, 2);
-    Notify(addr, 2);
     return true;
   }
   bool Write32(u32 addr, u32 v) {

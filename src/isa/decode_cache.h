@@ -132,7 +132,7 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
     // Lowered hot-run traces, indexed by DecodedInsn::trace of the run's
     // head slot. Owned by the page: every invalidation source (write
     // observer, frame eviction, capacity retirement, cost-model rebuild)
-    // demotes the page's traces by killing the page itself. Like the page,
+    // kills the page's traces by killing the page itself. Like the page,
     // a trace stays allocated until the next GetOrBuild, so a store that
     // retires the currently-executing trace cannot free it mid-run.
     std::vector<std::unique_ptr<Trace>> traces;

@@ -56,8 +56,9 @@ inline constexpr u32 kFlagOf = 1u << 11;
 
 // Sentinels for DecodedInsn::trace (a slot's lowered-trace index within its
 // page). Values below kTraceUntraceable index Page::traces.
-inline constexpr u16 kTraceNone = 0xFFFF;         // not (yet) lowered
-inline constexpr u16 kTraceUntraceable = 0xFFFE;  // lowering declined; stay on blocks
+inline constexpr u16 kTraceNone = 0xFFFF;  // not (yet) lowered
+// Stay on blocks: lowering declined, or the trace was demoted for low yield.
+inline constexpr u16 kTraceUntraceable = 0xFFFE;
 
 // The last flag-producing operation, recorded instead of executed. One entry
 // suffices: every producer either overwrites all four flags from (a, b), or
@@ -326,6 +327,11 @@ struct Trace {
   u32 body_cost = 0;   // summed base costs of the body
   u16 entry_slot = 0;
   u8 run_len = 0;
+  // Measured yield, judged by Cpu::RunBlock once `calls` reaches the
+  // probation window. A call is one executor entry; an in-place loop-back
+  // is not a new call, but its instructions count in `insns`.
+  u32 calls = 0;
+  u64 insns = 0;  // instructions retired across all calls
 };
 
 // Lowers the body of the run starting at `slots[entry_slot]` (run_len from

@@ -681,11 +681,7 @@ void Kernel::ExtensionWatchdogTick(Process& proc) {
       proc.ext_cycle_start = cpu().cycles();
     } else if (cpu().cycles() - proc.ext_cycle_start > config_.extension_cycle_limit) {
       proc.in_extension = false;
-      if (time_limit_hook_) {
-        time_limit_hook_(*this, proc);
-      } else {
-        DeliverSignal(proc, kSigXcpu);
-      }
+      DeliverSignal(proc, kSigXcpu);
     }
   } else {
     proc.in_extension = false;
@@ -1098,12 +1094,6 @@ void Kernel::HandleFault(const StopInfo& stop) {
       KillCurrent("out of memory during demand paging");
       return;
     }
-  }
-
-  // Kernel-extension (SPL 1) and application-segment (SPL 2) faults go to
-  // the Palladium module first.
-  if ((cpl == 1 || cpl == 2) && extension_fault_hook_ && extension_fault_hook_(*this, stop)) {
-    return;
   }
 
   // Palladium user-extension containment: fault raised by SPL 3 code in an

@@ -123,8 +123,6 @@ class Kernel {
   // unmaps the shared kernel PTE (shooting down all TLBs/D-TLBs) and frees
   // the frame. Returns false if the page was not mapped.
   bool UnmapKernelPage(u32 linear);
-  // Direct-map helpers: kernel linear <-> physical.
-  static u32 KernelLinearToPhys(u32 linear) { return linear - kKernelBase; }
   // The kernel-only page directory (valid CR3 when no process is current).
   u32 kernel_cr3() const { return kernel_page_dir_template_; }
   // Read/write kernel virtual memory (e.g. extension segments) from the host.
@@ -141,17 +139,6 @@ class Kernel {
   u32 AllocateHostCallId();
   // Linear address of a host entry (for gate targets): kernel-segment offset.
   static u32 HostEntryOffset(u32 id) { return id * kInsnSize; }
-
-  // Fault hook: invoked for faults raised at CPL 1/2 (kernel-extension and
-  // application-segment contexts). Returns true if handled (execution may
-  // continue or the context was redirected); false falls through to the
-  // default handler.
-  using FaultHook = std::function<bool(Kernel&, const StopInfo&)>;
-  void SetExtensionFaultHook(FaultHook hook) { extension_fault_hook_ = std::move(hook); }
-
-  // Hook consulted when the extension time limit fires (user extensions).
-  using TimeLimitHook = std::function<void(Kernel&, Process&)>;
-  void SetTimeLimitHook(TimeLimitHook hook) { time_limit_hook_ = std::move(hook); }
 
   // --- Interrupts --------------------------------------------------------------
   // The kernel owns the interrupt fabric: one PIC + hub + local interval
@@ -310,7 +297,6 @@ class Kernel {
 
   // --- Console ----------------------------------------------------------------
   const std::string& console() const { return console_; }
-  void ClearConsole() { console_.clear(); }
 
   // The process running on the *current* vCPU (the one whose trap the
   // kernel is servicing), and per-CPU lookup for schedulers/harnesses.
@@ -406,8 +392,6 @@ class Kernel {
   std::map<u32, HostCallHandler> host_calls_;
   u32 next_host_call_id_ = kHostEntryFirstFree;
   std::map<u32, SyscallHandler> extra_syscalls_;
-  FaultHook extension_fault_hook_;
-  TimeLimitHook time_limit_hook_;
   KextInvoker kext_invoker_;
 
   std::string console_;

@@ -41,6 +41,7 @@ void MetricsRegistry::CollectCpu(const Cpu& cpu, u32 index) {
   Counter(p + "trace.flag_materializations",
           cpu.trace_stats().flag_materializations);
   Counter(p + "trace.probes_elided", cpu.trace_stats().probes_elided);
+  Counter(p + "trace.demotions", cpu.trace_stats().demotions);
 }
 
 void MetricsRegistry::CollectSched(const Scheduler& sched, u32 num_cpus) {

@@ -26,6 +26,8 @@ const char* EventTypeName(EventType t) {
       return "trace_compile";
     case EventType::kTraceInvalidate:
       return "trace_invalidate";
+    case EventType::kTraceDemote:
+      return "trace_demote";
     case EventType::kNapiPoll:
       return "napi_poll";
     case EventType::kFrameDma:

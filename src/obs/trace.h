@@ -37,6 +37,7 @@ enum class EventType : u8 {
   kTlbShootdown,    // cross-CPU TLB shootdown            {page, remote_cpus}
   kTraceCompile,    // hot run lowered to a uop trace     {eip, run_len}
   kTraceInvalidate, // hot trace died to a code write     {eip, 0}
+  kTraceDemote,     // low-yield trace sent back to blocks {eip, insns per call}
   kNapiPoll,        // NAPI poll batch drained            {queue, frames}
   kFrameDma,        // NIC DMA'd a frame into the ring    {queue, bytes}
   kFrameClassify,   // filter classified a frame batch    {frames, matched}
@@ -44,7 +45,7 @@ enum class EventType : u8 {
   kFrameRecv,       // worker picked the frame up (pkt_recv) {pid, bytes}
   kFrameTx,         // response hit the TX ring           {queue, bytes}
 };
-inline constexpr u32 kNumEventTypes = 15;
+inline constexpr u32 kNumEventTypes = 16;
 
 const char* EventTypeName(EventType t);
 

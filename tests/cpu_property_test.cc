@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "src/hw/bare_machine.h"
@@ -297,6 +299,7 @@ TEST(DtlbDifferential, FastAndSlowPathsAgreeOnRandomPrograms) {
   constexpr u32 kSeeds = 52;
   constexpr u32 kIterations = 400;
   constexpr u32 kBodyLen = 224;  // > 10k executed instructions per seed
+  static_assert(kIterations >= kFuzzMinIterations, "demotion must happen mid-run");
   for (u64 seed = 1; seed <= kSeeds; ++seed) {
     const FuzzMode mode = static_cast<FuzzMode>(seed % static_cast<u64>(FuzzMode::kCount));
     const std::vector<u8> program = EncodeFuzzProgram(seed, kIterations, kBodyLen);
@@ -403,6 +406,7 @@ struct IrqDiffRun {
   // Architectural flight-recorder stream: tracing+profiling run fully
   // enabled in every mode, and the kArch events must be byte-identical.
   std::vector<obs::Event> arch_events;
+  u64 trace_demotions = 0;
 };
 
 IrqDiffRun RunDifferentialIrq(const std::vector<u8>& program, FuzzMode mode, bool blocks,
@@ -478,6 +482,7 @@ IrqDiffRun RunDifferentialIrq(const std::vector<u8>& program, FuzzMode mode, boo
   out.memory.assign(bm.pm().HostData(), bm.pm().HostData() + bm.pm().size());
   EXPECT_EQ(recorder.TotalDropped(), 0u) << "fuzz ring sized too small to compare streams";
   out.arch_events = recorder.ArchEvents(0);
+  out.trace_demotions = bm.cpu().trace_stats().demotions;
   return out;
 }
 
@@ -485,7 +490,11 @@ TEST(IrqDifferential, AllSixteenModesAgreeUnderRandomInterrupts) {
   constexpr u32 kSeeds = 16;
   constexpr u32 kIterations = 300;
   constexpr u32 kBodyLen = 160;
+  static_assert(kIterations >= kFuzzMinIterations, "demotion must happen mid-run");
   u64 total_irqs = 0;
+  // Trace demotions per tier-active mode, summed over seeds (a seed whose
+  // hot runs all clear the yield rule demotes nothing).
+  std::map<std::string, u64> demotions;
   for (u64 seed = 1; seed <= kSeeds; ++seed) {
     const FuzzMode mode = static_cast<FuzzMode>(seed % static_cast<u64>(FuzzMode::kCount));
     const std::vector<u8> program = EncodeFuzzProgram(seed * 31 + 7, kIterations, kBodyLen);
@@ -530,6 +539,11 @@ TEST(IrqDifferential, AllSixteenModesAgreeUnderRandomInterrupts) {
                                           specs[s].decode, specs[s].dtlb, timer_period,
                                           nic_times);
       SCOPED_TRACE("seed " + std::to_string(seed) + " config " + specs[s].name);
+      if (specs[s].blocks && specs[s].trace && specs[s].decode) {
+        demotions[specs[s].name] += run.trace_demotions;
+      } else {
+        EXPECT_EQ(run.trace_demotions, 0u) << "the trace tier is inert in this mode";
+      }
       if (s == 0) {
         ref = std::move(run);
         // Forward branches can shorten a seed's run; at least one delivery
@@ -580,6 +594,10 @@ TEST(IrqDifferential, AllSixteenModesAgreeUnderRandomInterrupts) {
     }
   }
   EXPECT_GT(total_irqs, 60u) << "the interrupt fuzz barely interrupted anything";
+  EXPECT_EQ(demotions.size(), 2u);
+  for (const auto& [mode, count] : demotions) {
+    EXPECT_GT(count, 0u) << mode << " never demoted a trace mid-run";
+  }
 }
 
 // --- SMP differential fuzz -----------------------------------------------------
@@ -614,6 +632,7 @@ struct SmpCpuResult {
   u64 cycles = 0;
   u64 instructions = 0;
   std::vector<obs::Event> arch_events;
+  u64 trace_demotions = 0;
 };
 
 struct SmpDiffRun {
@@ -702,6 +721,7 @@ SmpDiffRun RunSmpDifferential(const std::vector<std::vector<u8>>& programs, Fuzz
     out.cpus[c].cycles = m.cpu(c).cycles();
     out.cpus[c].instructions = m.cpu(c).instructions_retired();
     out.cpus[c].arch_events = recorder.ArchEvents(c);
+    out.cpus[c].trace_demotions = m.cpu(c).trace_stats().demotions;
   }
   EXPECT_EQ(recorder.TotalDropped(), 0u) << "fuzz ring sized too small to compare streams";
   out.memory.assign(bm.pm().HostData(), bm.pm().HostData() + bm.pm().size());
@@ -712,6 +732,9 @@ TEST(SmpDifferential, AllModesAgreePerVcpuUnderSharedMemoryAndShootdowns) {
   constexpr u32 kSeeds = 6;
   constexpr u32 kIterations = 150;
   constexpr u32 kBodyLen = 160;
+  static_assert(kIterations >= kFuzzMinIterations, "demotion must happen mid-run");
+  // Trace demotions per (N, tier-active mode), summed over seeds and vCPUs.
+  std::map<std::string, u64> demotions;
   for (u64 seed = 1; seed <= kSeeds; ++seed) {
     const FuzzMode mode = static_cast<FuzzMode>(seed % static_cast<u64>(FuzzMode::kCount));
     // Scripted shootdown points: pseudo-random global cycles early enough to
@@ -775,6 +798,14 @@ TEST(SmpDifferential, AllModesAgreePerVcpuUnderSharedMemoryAndShootdowns) {
                                             specs[s].decode, specs[s].dtlb, shootdowns);
         SCOPED_TRACE("seed " + std::to_string(seed) + " n " + std::to_string(n) +
                      " config " + specs[s].name);
+        for (u32 c = 0; c < n; ++c) {
+          if (specs[s].blocks && specs[s].trace && specs[s].decode) {
+            demotions["n" + std::to_string(n) + " " + specs[s].name] +=
+                run.cpus[c].trace_demotions;
+          } else {
+            EXPECT_EQ(run.cpus[c].trace_demotions, 0u) << "the trace tier is inert in this mode";
+          }
+        }
         if (s == 0) {
           ref = std::move(run);
           for (u32 c = 0; c < n; ++c) {
@@ -820,6 +851,10 @@ TEST(SmpDifferential, AllModesAgreePerVcpuUnderSharedMemoryAndShootdowns) {
             << "shared memory images diverged";
       }
     }
+  }
+  EXPECT_EQ(demotions.size(), 6u);  // two tier-active modes for each N
+  for (const auto& [mode, count] : demotions) {
+    EXPECT_GT(count, 0u) << mode << " never demoted a trace mid-run";
   }
 }
 

@@ -202,6 +202,13 @@ inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
   return body;
 }
 
+// Iterations every fuzz family runs at least: twice what a run head needs to
+// heat up and finish its trace's probation. The trace tier's yield rule then
+// demotes low-yield traces mid-run, inside the differential, so the engine
+// switch itself is compared against the oracle.
+inline constexpr u32 kFuzzMinIterations =
+    2 * (Cpu::kTraceHotThreshold + Cpu::kTraceProbation);
+
 // Counted loop around a fuzz body: ECX = iterations; body; dec/cmp/jne back
 // to the body; hlt. Encoded for loading at `code_base`.
 //

@@ -76,6 +76,7 @@ u32 WindowBase(u32 c) { return kDataBase + c * kDataSpan; }
 std::vector<u8> BuildProgram(u64 seed, u32 c) {
   constexpr u32 kIterations = 150;
   constexpr u32 kBodyLen = 160;
+  static_assert(kIterations >= kFuzzMinIterations, "demotion must happen mid-run");
   const u64 pseed = seed * 131 + c * 29 + 7;
   return EncodeLoopedFuzzProgram(pseed, kIterations, kBodyLen,
                                  kCodeBase + c * kCodeStride,
@@ -93,6 +94,7 @@ struct CpuResult {
   u64 tlb_hits = 0;
   u64 tlb_misses = 0;
   std::vector<obs::Event> arch_events;
+  u64 trace_demotions = 0;
 };
 
 // Per-barrier sample: every vCPU's (cycles, instructions) at the quiesce
@@ -230,6 +232,7 @@ void Collect(Rig& rig, DiffRun& out) {
     out.cpus[c].tlb_hits = m.cpu(c).tlb().stats().hits;
     out.cpus[c].tlb_misses = m.cpu(c).tlb().stats().misses;
     out.cpus[c].arch_events = rig.recorder.ArchEvents(c);
+    out.cpus[c].trace_demotions = m.cpu(c).trace_stats().demotions;
   }
   EXPECT_EQ(rig.recorder.TotalDropped(), 0u) << "ring sized too small to compare streams";
   out.memory.assign(rig.bm.pm().HostData(), rig.bm.pm().HostData() + rig.bm.pm().size());
@@ -337,6 +340,9 @@ void ExpectRunsEqual(const DiffRun& threaded, const DiffRun& oracle) {
 
 TEST(ThreadedSmpDifferential, MatchesInterleaverOnDrfWorkloads) {
   constexpr u32 kSeeds = 6;
+  // Traces demoted inside threaded epochs, summed over seeds and vCPUs: the
+  // engine switch happens mid-run on the worker threads too.
+  u64 threaded_demotions = 0;
   for (u64 seed = 1; seed <= kSeeds; ++seed) {
     const bool hostile = (seed % 4) >= 2;
     const u8 cpl = (seed % 2) ? 3 : 0;
@@ -366,8 +372,10 @@ TEST(ThreadedSmpDifferential, MatchesInterleaverOnDrfWorkloads) {
       DiffRun oracle =
           RunInterleavedAt(programs, hostile, cpl, shootdowns, threaded.samples);
       ExpectRunsEqual(threaded, oracle);
+      for (const CpuResult& c : threaded.cpus) threaded_demotions += c.trace_demotions;
     }
   }
+  EXPECT_GT(threaded_demotions, 0u) << "no trace was demoted in a threaded epoch";
 }
 
 // Determinism of the threaded mode itself: two threaded runs of the same DRF

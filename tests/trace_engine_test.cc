@@ -1,18 +1,22 @@
 // Hot-trace tier tests: promotion lifecycle (cold -> hot -> lowered ->
-// re-promoted after invalidation), the invalidation edges the tier must get
-// exactly right — a self-modifying store executing *inside* the hot trace,
-// and an SMP remote store retiring the trace's page mid-loop — plus
-// lazy-flags exactness at a fault boundary and the engine/env switches.
+// re-promoted after invalidation), admission by yield (low-yield traces are
+// demoted back to the block engine, self-looping ones are kept), the
+// invalidation edges the tier must get exactly right — a self-modifying
+// store executing *inside* the hot trace, and an SMP remote store retiring
+// the trace's page mid-loop — plus lazy-flags exactness at a fault boundary
+// and the engine/env switches.
 // Everywhere, the block engine with the tier disabled is the in-binary
 // differential oracle: registers, memory, cycles, TLB statistics, fault
 // streams must be byte-identical with the tier on or off.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "src/hw/bare_machine.h"
 #include "src/hw/smp.h"
+#include "src/obs/trace.h"
 
 namespace palladium {
 namespace {
@@ -29,15 +33,22 @@ struct TraceRunResult {
   u64 dtlb_hits = 0;
   bool dtlb_enabled = false;
   Cpu::TraceStats trace;
+  std::vector<u8> memory;
 };
 
 // Assembles and runs `source` at kCodeBase with the trace tier on or off
 // (block engine always on — it is the tier's host) and returns final state.
+// A non-null `recorder` receives the CPU's engine events on track 0.
 TraceRunResult RunWithTrace(const std::string& source, bool trace,
-                            u64 cycle_limit = 10'000'000) {
+                            u64 cycle_limit = 10'000'000,
+                            obs::FlightRecorder* recorder = nullptr) {
   BareMachine bm;
   bm.cpu().set_block_engine_enabled(true);
   bm.cpu().set_trace_engine_enabled(trace);
+  if (recorder != nullptr) {
+    recorder->Reset(1);
+    bm.cpu().set_recorder(recorder, 0);
+  }
   std::string diag;
   auto img = bm.LoadProgram(source, kCodeBase, &diag);
   EXPECT_TRUE(img.has_value()) << diag;
@@ -51,6 +62,7 @@ TraceRunResult RunWithTrace(const std::string& source, bool trace,
   r.dtlb_hits = bm.cpu().dtlb_stats().hits;
   r.dtlb_enabled = bm.cpu().dtlb_enabled();
   r.trace = bm.cpu().trace_stats();
+  r.memory.assign(bm.pm().HostData(), bm.pm().HostData() + bm.pm().size());
   return r;
 }
 
@@ -65,6 +77,7 @@ void ExpectSameState(const TraceRunResult& a, const TraceRunResult& b) {
   for (u8 r = 0; r < kNumRegs; ++r) {
     EXPECT_EQ(a.ctx.regs[r], b.ctx.regs[r]) << "reg " << static_cast<int>(r);
   }
+  EXPECT_TRUE(a.memory == b.memory) << "memory images diverged";
 }
 
 constexpr const char* kHotMemLoop = R"(
@@ -142,9 +155,140 @@ loop:
   EXPECT_EQ(on.trace.uop_insns, 0u);
 }
 
+// The web worker's checksum shape: a top-tested `cmp; je out` run and a
+// short `ld8 ... jmp top` run. Neither loops in place, so each trace call
+// retires 2 or 5 instructions, below the break-even yield. Both traces must
+// be demoted at the end of their probation, after which the block engine
+// runs them and the trace entry count stops growing.
+std::string TopTestedLoop(u32 iterations) {
+  return R"(
+  .global main
+main:
+  mov $)" + std::to_string(iterations) + R"(, %ecx
+  mov $0x20000, %esi
+top:
+  cmp $0, %ecx
+  je out
+  ld8 0(%esi), %eax
+  add %eax, %ebx
+  st %ebx, 0x1000(%esi)
+  add $1, %esi
+  dec %ecx
+  jmp top
+out:
+  hlt
+)";
+}
+
+TEST(TraceEngine, LowYieldTopTestedLoopIsDemoted) {
+  TraceRunResult on = RunWithTrace(TopTestedLoop(2000), /*trace=*/true);
+  TraceRunResult off = RunWithTrace(TopTestedLoop(2000), /*trace=*/false);
+  EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+  ExpectSameState(on, off);
+  EXPECT_EQ(on.trace.promotions, 2u) << "both runs must heat up and be lowered";
+  EXPECT_EQ(on.trace.demotions, 2u) << "both runs yield below break-even";
+  EXPECT_EQ(off.trace.demotions, 0u);
+
+  // Four times the iterations, same trace work: after demotion the block
+  // engine runs every further iteration.
+  TraceRunResult longer = RunWithTrace(TopTestedLoop(8000), /*trace=*/true);
+  EXPECT_EQ(longer.trace.demotions, 2u);
+  EXPECT_EQ(longer.trace.entries, on.trace.entries) << "entries kept growing after demotion";
+  EXPECT_EQ(longer.trace.uop_insns, on.trace.uop_insns);
+  EXPECT_LT(on.trace.uop_insns, on.instructions / 10);
+}
+
+// A self-looping `jne` loop, called again and again from an outer loop the
+// way ext-compute checksums one buffer per call: every call of its trace
+// iterates in place, so the yield is far above break-even and the trace is
+// kept. The outer loop's own short runs are still demoted.
+TEST(TraceEngine, SelfLoopingTraceIsKept) {
+  const std::string source = R"(
+  .global main
+main:
+  mov $400, %edi
+outer:
+  mov $8, %ecx
+  mov $0x20000, %esi
+inner:
+  ld8 0(%esi), %eax
+  add %eax, %ebx
+  add $1, %esi
+  dec %ecx
+  cmp $0, %ecx
+  jne inner
+  st %ebx, 0x1000(%esi)
+  dec %edi
+  cmp $0, %edi
+  jne outer
+  hlt
+)";
+  constexpr u32 kInnerEip = kCodeBase + 3 * kInsnSize;
+  obs::FlightRecorder rec;
+  TraceRunResult on = RunWithTrace(source, /*trace=*/true, 10'000'000, &rec);
+  TraceRunResult off = RunWithTrace(source, /*trace=*/false);
+  EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+  ExpectSameState(on, off);
+
+  EXPECT_EQ(on.trace.promotions, 3u) << "outer head, inner loop, outer tail";
+  EXPECT_EQ(on.trace.demotions, 2u) << "only the outer loop's short runs are demoted";
+  EXPECT_GT(on.trace.uop_insns, on.instructions / 2)
+      << "the inner loop must keep retiring in its trace";
+  u32 demote_events = 0;
+  for (const obs::Event& e : rec.Events(0)) {
+    if (e.type != obs::EventType::kTraceDemote) continue;
+    ++demote_events;
+    EXPECT_EQ(e.cls, obs::EventClass::kEngine);
+    EXPECT_NE(e.arg0, kInnerEip) << "the self-looping trace must not be demoted";
+    EXPECT_LT(e.arg1, Cpu::kTraceMinYield) << "arg1 is the probation's instructions per call";
+  }
+  EXPECT_EQ(demote_events, on.trace.demotions);
+}
+
+// A store into a demoted run's page rebuilds the page, which resets the
+// admission decision with everything else: the runs heat up, are lowered
+// and are judged again, and the final state still equals the oracle's.
+TEST(TraceEngine, CodePageWriteResetsDemotion) {
+  // The store targets a data word past the code on the same page (0x10800).
+  const std::string source = R"(
+  .global main
+main:
+  mov $600, %ecx
+  mov $0x20000, %esi
+top:
+  cmp $300, %ecx
+  je patch
+  cmp $0, %ecx
+  je out
+  ld8 0(%esi), %eax
+  add %eax, %ebx
+  add $1, %esi
+  dec %ecx
+  jmp top
+patch:
+  st %ecx, 0x10800
+  dec %ecx
+  jmp top
+out:
+  hlt
+)";
+  TraceRunResult on = RunWithTrace(source, /*trace=*/true);
+  TraceRunResult off = RunWithTrace(source, /*trace=*/false);
+  EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+  ExpectSameState(on, off);
+  // Three runs (two top-tested compares and the body) per page build.
+  EXPECT_EQ(on.trace.promotions, 6u) << "every run must re-heat after the rebuild";
+  EXPECT_EQ(on.trace.demotions, 6u) << "and be judged again";
+}
+
 // PALLADIUM_NO_TRACE=1 disables the tier at construction, exactly like
-// set_trace_engine_enabled(false).
+// set_trace_engine_enabled(false). The suite itself may run under that
+// switch, so the inherited value is cleared first and restored at the end.
 TEST(TraceEngine, EnvSwitchDisablesTraceTier) {
+  const char* inherited = std::getenv("PALLADIUM_NO_TRACE");
+  const std::optional<std::string> saved =
+      inherited != nullptr ? std::optional<std::string>(inherited) : std::nullopt;
+  ::unsetenv("PALLADIUM_NO_TRACE");
   {
     BareMachine bm;
     EXPECT_TRUE(bm.cpu().trace_engine_enabled()) << "tier defaults to on";
@@ -154,7 +298,11 @@ TEST(TraceEngine, EnvSwitchDisablesTraceTier) {
     BareMachine bm;
     EXPECT_FALSE(bm.cpu().trace_engine_enabled());
   }
-  ::unsetenv("PALLADIUM_NO_TRACE");
+  if (saved) {
+    ::setenv("PALLADIUM_NO_TRACE", saved->c_str(), 1);
+  } else {
+    ::unsetenv("PALLADIUM_NO_TRACE");
+  }
 }
 
 // A store executing *inside* the hot trace patches a later instruction of
@@ -201,6 +349,45 @@ unfix:
       << "the loop must re-heat and be lowered again after the self-modify";
 }
 
+// trace_invalidate marks a trace call cut short by a decode-generation
+// change, and nothing else. The loop's store walks down from the page
+// above into the tail of its own code page: the first such store retires
+// the page in the middle of the trace's single in-place call, which must
+// exit there (one event). The page then dies on every iteration, so the loop
+// never re-heats. (Plain Jcc exits recording no event is checked by the SMP
+// test below, whose every slice ends through one.)
+TEST(TraceEngine, TraceInvalidateEventOnlyForRealInvalidations) {
+  const std::string source = R"(
+  .global main
+main:
+  mov $150, %ecx
+  mov $0x11190, %esi
+loop:
+  st %ecx, 0(%esi)
+  sub $4, %esi
+  add %ecx, %ebx
+  dec %ecx
+  cmp $0, %ecx
+  jne loop
+  hlt
+)";
+  obs::FlightRecorder rec;
+  TraceRunResult on = RunWithTrace(source, /*trace=*/true, 10'000'000, &rec);
+  TraceRunResult off = RunWithTrace(source, /*trace=*/false);
+  EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+  ExpectSameState(on, off);
+  EXPECT_EQ(on.trace.promotions, 1u);
+  EXPECT_EQ(on.trace.demotions, 0u);
+  u32 invalidate_events = 0;
+  for (const obs::Event& e : rec.Events(0)) {
+    if (e.type != obs::EventType::kTraceInvalidate) continue;
+    ++invalidate_events;
+    // Store 101 (ecx = 49 before the dec) is the first into the code page.
+    EXPECT_EQ(e.arg0, kCodeBase + 3 * kInsnSize) << "exit right after the store";
+  }
+  EXPECT_EQ(invalidate_events, 1u);
+}
+
 // An SMP neighbour's store lands on the hot trace's code page mid-loop (via
 // the physical-memory write-observer fan-out, since with two vCPUs the
 // victim's decode cache is not the sole observer). The victim must pick up
@@ -213,9 +400,12 @@ TEST(TraceEngine, SmpRemoteStoreInvalidatesHotTraceMidLoop) {
     config.num_cpus = 2;
     BareMachine bm(config);
     Machine& m = bm.machine();
+    obs::FlightRecorder rec;
+    rec.Reset(2);
     for (u32 c = 0; c < 2; ++c) {
       m.cpu(c).set_block_engine_enabled(true);
       m.cpu(c).set_trace_engine_enabled(trace);
+      m.cpu(c).set_recorder(&rec, c);
     }
     std::string diag;
     // vCPU 0: a hot loop; `add $1, %eax` is slot 1 (0x10010), imm at +8.
@@ -256,13 +446,19 @@ delay:
       EXPECT_EQ(stop.reason, StopReason::kHalted);
       return false;
     });
+    u32 invalidate_events = 0;
+    for (const obs::Event& e : rec.Events(0)) {
+      if (e.type == obs::EventType::kTraceInvalidate) ++invalidate_events;
+    }
+    EXPECT_EQ(rec.TotalDropped(), 0u);
     struct SmpResult {
       CpuContext ctx0, ctx1;
       u64 cycles0, cycles1, insns0;
       Cpu::TraceStats trace0;
+      u32 invalidate_events;
     } r{m.cpu(0).SaveContext(), m.cpu(1).SaveContext(), m.cpu(0).cycles(),
         m.cpu(1).cycles(),      m.cpu(0).instructions_retired(),
-        m.cpu(0).trace_stats()};
+        m.cpu(0).trace_stats(), invalidate_events};
     return r;
   };
 
@@ -272,6 +468,10 @@ delay:
   EXPECT_GT(eax, 1000u) << "patched +7 increments must have executed";
   EXPECT_EQ((eax - 1000u) % 6u, 0u) << "every patched iteration adds exactly 6 extra";
   EXPECT_GE(on.trace0.promotions, 1u) << "the victim loop must have been hot";
+  // The store lands between the victim's slices, while no trace call is
+  // running, so no call exits on it. Every slice ends through the trace's
+  // cmp+jne terminator, and none of those exits is an invalidation.
+  EXPECT_EQ(on.invalidate_events, 0u) << "a plain Jcc exit recorded trace_invalidate";
   for (u8 r = 0; r < kNumRegs; ++r) {
     EXPECT_EQ(on.ctx0.regs[r], off.ctx0.regs[r]) << "vcpu0 reg " << static_cast<int>(r);
     EXPECT_EQ(on.ctx1.regs[r], off.ctx1.regs[r]) << "vcpu1 reg " << static_cast<int>(r);

@@ -41,6 +41,7 @@ KNOWN_TYPES = {
     "tlb_shootdown",
     "trace_compile",
     "trace_invalidate",
+    "trace_demote",
     "napi_poll",
     "frame_dma",
     "frame_classify",
