@@ -16,6 +16,9 @@
 //   oracle  everything off: per-byte fetch + per-byte data path
 // All four appear in one BENCH_simspeed.json; `--engine
 // {trace,block,insn,oracle}` restricts the run to a single engine.
+// `BM_TopLoop_{trace,block,insn}` run the web worker's top-tested checksum
+// loop, the shape whose trace chains runs (no oracle row: its rate is the
+// ALU/MEM rows' oracle rate).
 // Architectural results are identical across engines — only the wall-clock
 // rate moves.
 // The SMP rows (`BM_Smp{Alu,Mem}_nN_{interleaved,threaded}`) measure the
@@ -118,6 +121,27 @@ loop:
   hlt
 )";
 
+// The web worker's per-byte checksum loop (perfbench's web-4cpu worker),
+// byte for byte: a top-tested `cmp; je` run and a `ld8 ... jmp` body run,
+// over a 2000-byte request buffer. Its trace chains both runs.
+constexpr const char* kTopLoopWorkload = R"(
+  .global main
+main:
+  mov $2000, %ecx
+  mov $0x20000, %ebp
+  mov $0, %edx
+csum:
+  cmp $0, %ecx
+  je send
+  ld8 0(%ebp), %eax
+  add %eax, %edx
+  add $1, %ebp
+  dec %ecx
+  jmp csum
+send:
+  hlt
+)";
+
 void RunThroughput(benchmark::State& state, const char* workload, Engine engine) {
   BareMachine bm;
   ConfigureEngine(bm.cpu(), engine);
@@ -154,6 +178,7 @@ void RunThroughput(benchmark::State& state, const char* workload, Engine engine)
     state.counters["trace_probes_elided"] =
         benchmark::Counter(static_cast<double>(ts.probes_elided));
     state.counters["trace_demotions"] = benchmark::Counter(static_cast<double>(ts.demotions));
+    state.counters["trace_side_exits"] = benchmark::Counter(static_cast<double>(ts.side_exits));
   }
 }
 
@@ -326,6 +351,13 @@ void RegisterSimBenches(const std::string& engine_filter) {
         [engine = spec.engine](benchmark::State& st) {
           RunThroughput(st, kMemWorkload, engine);
         });
+    if (spec.engine != Engine::kOracle) {
+      benchmark::RegisterBenchmark(
+          (std::string("BM_TopLoop_") + spec.name).c_str(),
+          [engine = spec.engine](benchmark::State& st) {
+            RunThroughput(st, kTopLoopWorkload, engine);
+          });
+    }
   }
   // SMP rows only in unfiltered runs (the CI invocation), so every JSON that
   // carries a `_threaded` row also carries its `_interleaved` pair — the

@@ -1406,24 +1406,25 @@ run_start:
   // Hot-trace tier. Eligible only when the engine is about to execute the
   // FULL run in unchecked-interior mode (n survived both clips): that is the
   // precise condition under which the block engine itself would retire the
-  // body with no interior boundary checks, so the trace executor — which has
-  // none — lands every exit on the same boundaries by construction. The
-  // body (all slots but the last) runs as micro-ops; the final slot then
+  // run with no interior boundary checks, so the trace executor — which has
+  // none inside a run — lands every exit on the same boundaries by
+  // construction. Later runs of the chain repeat this check at their own
+  // heads inside the executor. A final slot the trace does not lower then
   // dispatches through the normal per-opcode label below, keeping chain /
   // far / halt / checked-run-boundary handling in one place.
   if (trace_engine_enabled_ && n >= 2 && n == d->run_len) {
     u16 ti = d->trace;
     if (ti == kTraceNone && ++d->hot >= kTraceHotThreshold) {
       auto lowered =
-          LowerRun(page->slots.data(), static_cast<u32>(d - page->slots.data()), d->run_len);
+          LowerRun(page->slots.data(), static_cast<u32>(d - page->slots.data()), eip_);
       if (lowered != nullptr && page->traces.size() < kTraceUntraceable) {
         ti = static_cast<u16>(page->traces.size());
-        page->traces.push_back(std::move(lowered));
-        ++trace_stats_.promotions;
         if (recorder_ != nullptr) {
           recorder_->Record(obs_track_, cycles_, obs::EventType::kTraceCompile,
-                            obs::EventClass::kEngine, eip_, d->run_len);
+                            obs::EventClass::kEngine, eip_, lowered->lowered_insns);
         }
+        page->traces.push_back(std::move(lowered));
+        ++trace_stats_.promotions;
       } else {
         ti = kTraceUntraceable;
       }
@@ -1448,7 +1449,9 @@ run_start:
         d->trace = kTraceUntraceable;
       }
       if (te == TraceExit::kStopped) PALLADIUM_BLOCK_EXIT(BlockExit::kStopped);
-      if (te == TraceExit::kBranch) goto yield;
+      // A branch or run-head exit left EIP on a retire boundary the block
+      // engine reaches through a checked edge: continue there.
+      if (te == TraceExit::kBranch) goto chain;
       if (te == TraceExit::kYield) {
         // The decode generation changed during the call: a store (local or
         // remote) invalidated decoded code and the trace exited at the
@@ -1459,7 +1462,9 @@ run_start:
         }
         goto yield;
       }
-      d += d->run_len - 1;
+      // Body complete: the final slot, somewhere in this page, dispatches
+      // as the last member of the trace's last run.
+      d = &page->slots[((base + eip_) & kPageMask) / kInsnSize];
       n = 1;
     }
   }
@@ -1620,14 +1625,26 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t,
       &&u_and,  &&u_test,  &&u_or,    &&u_xor,  &&u_shl, &&u_shr, &&u_sar,
       &&u_imul, &&u_neg,   &&u_not,   &&u_inc,  &&u_dec, &&u_fold,
       &&u_load, &&u_store, &&u_storei, &&u_exec, &&u_jcc, &&u_cmpjcc,
+      &&u_side_jcc, &&u_side_cmpjcc, &&u_head,
   };
   static_assert(sizeof(kUopLabels) / sizeof(kUopLabels[0]) ==
-                    static_cast<size_t>(UopKind::kCmpJcc) + 1,
+                    static_cast<size_t>(UopKind::kHead) + 1,
                 "kUopLabels must cover every UopKind");
 
   FlagsCache fc;  // Op::kEager — eflags_ is architecturally current at entry
   Fault fault;
   const u32 entry_eip = eip_;
+  // EIP of slot 0 of the page, for this entry: every exit's EIP is
+  // eip_base + slot * kInsnSize, since all of a trace's slots share a page.
+  const u32 eip_base = entry_eip - u32{t.entry_slot} * kInsnSize;
+  // The frontier for run heads after the first. Later runs were resolved
+  // against the EIP the trace was lowered at, and their slots must lie
+  // inside the CS limit (checked once here over the highest one; run_start
+  // already proved entry_eip <= limit). A call that fails either runs only
+  // its first run: a zero frontier fails every run-head check.
+  const u32 cs_limit = segs_[static_cast<u8>(SegReg::kCs)].cache.limit;
+  const u64 head_until =
+      entry_eip == t.lowered_eip && cs_limit - entry_eip >= t.reach_bytes ? until : 0;
   // Loop-invariant CPU state: CPL and the D-TLB switch can only change at
   // far transfers, which are never in a body; TLB flushes are host-side and
   // the host only runs between Run slices (same argument as RunBlock's
@@ -1650,6 +1667,7 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t,
   u64 dtlb_hits = 0;  // batched DTlb::CountHit
   u64 elided = 0;
   u32 iters = 0;  // in-trace loop-backs; each is another trace entry
+  u32 side_exits = 0;
   // Guest stores go through u8* and may alias anything the compiler cannot
   // prove disjoint — including the pin vector's data pointer, the D-TLB
   // statistics behind mutation_count(), and the observer registration — so
@@ -1701,6 +1719,7 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t,
     tlb_.RecordFastPathHits(tlb_hits);                  \
     dtlb_.CountHits(dtlb_hits);                         \
     trace_stats_.probes_elided += elided;               \
+    trace_stats_.side_exits += side_exits;              \
     trace_stats_.entries += 1 + iters;                  \
     trace_stats_.uop_insns += instructions_ - insns0;   \
     ++t.calls;                                          \
@@ -1713,11 +1732,14 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t,
     for (Uop* x = ubegin; x != uend; ++x) {
       const void* tgt = kUopLabels[static_cast<u8>(x->kind)];
       // 4-byte memory uops — the dominant case: every push/pop and almost
-      // every mov — get switch-free specializations; push/pop variants fold
-      // their fixed ESP adjustment into the label itself. The generic labels
-      // stay the fallback for 1/2-byte accesses, and a specialized label
-      // that misses its fast-path guard re-dispatches to its generic one.
-      if (x->size == 4) {
+      // every mov — and byte loads (a checksum's per-byte read) get
+      // switch-free specializations; push/pop variants fold their fixed ESP
+      // adjustment into the label itself. The generic labels stay the
+      // fallback for the other sizes, and a specialized label that misses
+      // its fast-path guard re-dispatches to its generic one.
+      if (x->size == 1 && x->kind == UopKind::kLoad) {
+        tgt = &&u_load1;  // no 1-byte pop exists, so never an ESP move
+      } else if (x->size == 4) {
         if (x->kind == UopKind::kLoad)
           tgt = x->esp_post ? static_cast<const void*>(&&u_pop4)
                             : static_cast<const void*>(&&u_load4);
@@ -1739,8 +1761,11 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t,
   // generation re-check stays live per iteration — it is the invalidation
   // fence and must read fresh state.
   const Uop* const ulast = uend - 1;
-  const bool loop_to_entry = ulast->kind >= UopKind::kJcc &&
-                             static_cast<u32>(ulast->imm) == entry_eip;
+  const bool final_jcc = ulast->kind == UopKind::kJcc || ulast->kind == UopKind::kCmpJcc;
+  const bool loop_to_entry = final_jcc && static_cast<u32>(ulast->imm) == entry_eip;
+  // A trace entered in the middle of its loop (the chain went round through
+  // an elided jump) loops on its final branch's not-taken edge instead.
+  const bool fall_to_entry = final_jcc && u32{ulast->slot} + ulast->span == t.entry_slot;
   const u64 loop_until = until > run_cost_max ? until - run_cost_max : 0;
   Uop* u = ubegin;
   u32 sval = 0;  // store value, set by u_store/u_storei for store_common
@@ -1992,6 +2017,27 @@ u_load4: {  // kLoad, size 4, no ESP adjustment — the common mov-load
   goto u_load;  // window or pin miss: the generic path faults / refills exactly
 }
 
+u_load1: {  // kLoad, size 1 — byte loads (ld8), e.g. a checksum's per-byte read
+  u32 off = static_cast<u32>(u->disp);
+  if (u->r2 != kNoBaseReg) off += regs_[u->r2];
+  if (u->scale != 0) off += regs_[u->r3] * u->scale;
+  const u32 linear = seg_base[u->seg_idx] + off;
+  const TracePin& p = pins[u->pin];
+  if (__builtin_expect(static_cast<i64>(off) <= seg_rd_lim[u->seg_idx] &&
+                           p.tlb_change == tlb_change &&
+                           p.dtlb_gen == dtlb_gen_live &&
+                           p.vpn == PageNumber(linear) &&
+                           !(user3 && !(p.flags & kPteUser)),
+                       1)) {
+    tlb_hits += 1;
+    ++dtlb_hits;
+    ++elided;
+    regs_[u->r1] = p.host[linear & kPageMask];
+    PALLADIUM_UOP_NEXT();
+  }
+  goto u_load;
+}
+
 u_pop4: {  // kLoad, size 4, ESP += 4 after the access
   const u32 off = regs_[u->r2];  // pop EA is SS:ESP, no disp/index
   const u32 linear = seg_base[u->seg_idx] + off;
@@ -2191,34 +2237,18 @@ u_exec: {
 }
 
 u_jcc: {
-  // The run's conditional terminator, evaluated against the lazy cache one
-  // flag at a time. When taken straight back to this run's own entry — the
-  // hot-loop backward edge — and the next full iteration provably retires
+  // The trace's conditional terminator, evaluated against the lazy cache one
+  // flag at a time. When its edge leads straight back to this trace's own
+  // entry — taken for the hot-loop backward branch, not taken for a trace
+  // entered mid-loop — and the next full iteration provably retires
   // below the frontier (the same run_cost_max bound run_start re-checks)
   // with nothing invalidated (the same generation re-check `chain` does),
   // the executor loops in place and the flags stay lazy across the
   // iteration. Every other outcome exits with exact architectural state at
   // precisely the boundary where the block engine would next run its own
-  // checks, so yielding to the outer loop is equivalent by construction.
-  bool taken;
-  switch (u->r1) {
-    case 0: taken = LazyZf(fc, eflags_); break;                                // je
-    case 1: taken = !LazyZf(fc, eflags_); break;                               // jne
-    case 2: taken = LazyCf(fc, eflags_); break;                                // jb
-    case 3: taken = !LazyCf(fc, eflags_); break;                               // jae
-    case 4: taken = LazyCf(fc, eflags_) || LazyZf(fc, eflags_); break;         // jbe
-    case 5: taken = !LazyCf(fc, eflags_) && !LazyZf(fc, eflags_); break;       // ja
-    case 6: taken = LazySf(fc, eflags_) != LazyOf(fc, eflags_); break;         // jl
-    case 7: taken = LazySf(fc, eflags_) == LazyOf(fc, eflags_); break;         // jge
-    case 8:                                                                    // jle
-      taken = LazyZf(fc, eflags_) || LazySf(fc, eflags_) != LazyOf(fc, eflags_);
-      break;
-    case 9:                                                                    // jg
-      taken = !LazyZf(fc, eflags_) && LazySf(fc, eflags_) == LazyOf(fc, eflags_);
-      break;
-    case 10: taken = LazySf(fc, eflags_); break;                               // js
-    default: taken = !LazySf(fc, eflags_); break;                              // jns
-  }
+  // checks, so continuing at RunBlock's `chain` is equivalent by
+  // construction.
+  const bool taken = JccTaken(u->r1, fc, eflags_);
   insns += u->insn_before + 1;
   if (taken) {
     cyc += u->cost_before + taken_cost;
@@ -2232,47 +2262,29 @@ u_jcc: {
     eip_ = static_cast<u32>(u->imm);
   } else {
     cyc += u->cost_before + u->cost;
-    eip_ = entry_eip + (u->insn_before + 1) * kInsnSize;
+    if (__builtin_expect(fall_to_entry && cyc < loop_until &&
+                             dcache_.generation() == gen0,
+                         1)) {
+      ++iters;
+      u = ubegin;
+      goto *u->target;
+    }
+    eip_ = eip_base + (u32{u->slot} + 1) * kInsnSize;
   }
   cycles_ = cyc;
   instructions_ = insns;
-  PALLADIUM_TRACE_FLUSH_STATS();
-  if (fc.op != FlagsCache::Op::kEager) {
-    eflags_ = MaterializeFlags(fc, eflags_);
-    ++trace_stats_.flag_materializations;
-  }
-  // A generation that moved during the call is a real invalidation: report
-  // it as kYield, the way a mid-body store's exit is reported.
-  return dcache_.generation() != gen0 ? TraceExit::kYield : TraceExit::kBranch;
+  goto edge_exit;
 }
 
 u_cmpjcc: {
-  // Fused compare-and-branch terminator. The condition evaluates directly
-  // from the compare operands via the standard sub-flag identities (jb is
-  // unsigned a < b, jl is signed a < b, js is the sign of a - b, ...), which
-  // are exactly what ExecOp's per-flag reads of a cmp's EFLAGS compute. The
-  // operands still enter the flags cache so every exit materializes the
-  // compare's architectural flags.
+  // Fused compare-and-branch terminator: the condition evaluates directly
+  // from the compare operands, which still enter the flags cache so every
+  // exit materializes the compare's architectural flags.
   const u32 a = regs_[u->r1];
   const u32 b = u->b_imm ? static_cast<u32>(u->imm2) : regs_[u->r2];
   fc = FlagsCache{FlagsCache::Op::kSub, a, b};
-  bool taken;
-  switch (u->r3) {
-    case 0: taken = a == b; break;                                        // je
-    case 1: taken = a != b; break;                                        // jne
-    case 2: taken = a < b; break;                                         // jb
-    case 3: taken = a >= b; break;                                        // jae
-    case 4: taken = a <= b; break;                                        // jbe
-    case 5: taken = a > b; break;                                         // ja
-    case 6: taken = static_cast<i32>(a) < static_cast<i32>(b); break;     // jl
-    case 7: taken = static_cast<i32>(a) >= static_cast<i32>(b); break;    // jge
-    case 8: taken = static_cast<i32>(a) <= static_cast<i32>(b); break;    // jle
-    case 9: taken = static_cast<i32>(a) > static_cast<i32>(b); break;     // jg
-    case 10: taken = ((a - b) >> 31) != 0; break;                         // js
-    default: taken = ((a - b) >> 31) == 0; break;                         // jns
-  }
   insns += u->insn_before + 2;
-  if (taken) {
+  if (CmpJccTaken(u->r3, a, b)) {
     cyc += u->cost_before + u->cost + taken_cost;
     if (__builtin_expect(loop_to_entry && cyc < loop_until &&
                              dcache_.generation() == gen0,
@@ -2284,29 +2296,103 @@ u_cmpjcc: {
     eip_ = static_cast<u32>(u->imm);
   } else {
     cyc += u->cost_before + u->cost + u->cost2;
-    eip_ = entry_eip + (u->insn_before + 2) * kInsnSize;
+    if (__builtin_expect(fall_to_entry && cyc < loop_until &&
+                             dcache_.generation() == gen0,
+                         1)) {
+      ++iters;
+      u = ubegin;
+      goto *u->target;
+    }
+    eip_ = eip_base + (u32{u->slot} + 2) * kInsnSize;
   }
   cycles_ = cyc;
   instructions_ = insns;
-  PALLADIUM_TRACE_FLUSH_STATS();
-  eflags_ = MaterializeFlags(fc, eflags_);
-  ++trace_stats_.flag_materializations;
-  return dcache_.generation() != gen0 ? TraceExit::kYield : TraceExit::kBranch;
+  goto edge_exit;
 }
+
+u_side_jcc:
+  // A branch in the middle of the trace. Not taken: the fall-through run
+  // may start only under run_start's frontier check. Taken, or a failed
+  // check: exit on the edge.
+  if (!JccTaken(u->r1, fc, eflags_)) {
+    if (__builtin_expect(cyc + u->head_cost < head_until, 1)) PALLADIUM_UOP_NEXT();
+    cycles_ = cyc + u->cost_before + u->cost;
+    eip_ = eip_base + (u32{u->slot} + 1) * kInsnSize;
+  } else {
+    ++side_exits;
+    cycles_ = cyc + u->cost_before + taken_cost;
+    eip_ = static_cast<u32>(u->imm);
+  }
+  instructions_ = insns + u->insn_before + 1;
+  goto edge_exit;
+
+u_side_cmpjcc: {
+  const u32 a = regs_[u->r1];
+  const u32 b = u->b_imm ? static_cast<u32>(u->imm2) : regs_[u->r2];
+  fc = FlagsCache{FlagsCache::Op::kSub, a, b};
+  if (!CmpJccTaken(u->r3, a, b)) {
+    if (__builtin_expect(cyc + u->head_cost < head_until, 1)) PALLADIUM_UOP_NEXT();
+    cycles_ = cyc + u->cost_before + u->cost + u->cost2;
+    eip_ = eip_base + (u32{u->slot} + 2) * kInsnSize;
+  } else {
+    ++side_exits;
+    cycles_ = cyc + u->cost_before + u->cost + taken_cost;
+    eip_ = static_cast<u32>(u->imm);
+  }
+  instructions_ = insns + u->insn_before + 2;
+  goto edge_exit;
+}
+
+u_head:
+  // The head of a run reached through an elided jmp: `chain`'s generation
+  // check and run_start's frontier check, in one place.
+  if (__builtin_expect(cyc + u->head_cost < head_until && dcache_.generation() == gen0, 1)) {
+    PALLADIUM_UOP_NEXT();
+  }
+  cycles_ = cyc + u->cost_before;
+  instructions_ = insns + u->insn_before;
+  // The jump's architectural target: a call entered at another EIP alias
+  // leaves here, and its slot-relative EIP would name the wrong address.
+  eip_ = static_cast<u32>(u->imm);
+  goto edge_exit;
 #undef PALLADIUM_UOP_NEXT
 
 body_done:
-  // Body complete: commit the batched retire state; the caller dispatches
-  // the run's final slot through the block engine's own handler.
+  // Body complete. A trace whose final slot jumps back to its entry loops in
+  // place under the same guard as a taken loop-back branch (the jump was
+  // resolved at lowering, so only a call entered at the lowered EIP may);
+  // otherwise commit the batched retire state and let the caller dispatch
+  // the final slot through the block engine's own handler.
+  if (t.jmp_loop && entry_eip == t.lowered_eip) {
+    const u64 next = cyc + t.body_cost + t.loop_cost;
+    if (__builtin_expect(next < loop_until && dcache_.generation() == gen0, 1)) {
+      cyc = next;
+      insns += t.body_insns + 1;
+      ++iters;
+      u = ubegin;
+      goto *u->target;
+    }
+  }
   cycles_ = cyc + t.body_cost;
   instructions_ = insns + t.body_insns;
-  eip_ = entry_eip + t.body_insns * kInsnSize;
+  eip_ = eip_base + u32{t.final_slot} * kInsnSize;
   PALLADIUM_TRACE_FLUSH_STATS();
   if (fc.op != FlagsCache::Op::kEager) {
     eflags_ = MaterializeFlags(fc, eflags_);
     ++trace_stats_.flag_materializations;
   }
   return TraceExit::kBody;
+
+edge_exit:
+  // A branch or run-head exit; eip_/cycles_/instructions_ are committed.
+  PALLADIUM_TRACE_FLUSH_STATS();
+  if (fc.op != FlagsCache::Op::kEager) {
+    eflags_ = MaterializeFlags(fc, eflags_);
+    ++trace_stats_.flag_materializations;
+  }
+  // A generation that moved during the call is a real invalidation: report
+  // it as kYield, the way a mid-body store's exit is reported.
+  return dcache_.generation() != gen0 ? TraceExit::kYield : TraceExit::kBranch;
 
 fault_exit:
   // The faulting instruction charges no base cost but DOES count in
@@ -2317,7 +2403,7 @@ fault_exit:
   // path.
   cycles_ = cyc + u->cost_before;
   instructions_ = insns + u->insn_before + 1;
-  eip_ = entry_eip + u->insn_before * kInsnSize;
+  eip_ = eip_base + u32{u->slot} * kInsnSize;
   PALLADIUM_TRACE_FLUSH_STATS();
   if (fc.op != FlagsCache::Op::kEager) {
     eflags_ = MaterializeFlags(fc, eflags_);
@@ -2333,7 +2419,7 @@ gen_exit:
   // boundary at which the block engine yields.
   cycles_ = cyc + u->cost_before + u->cost;
   instructions_ = insns + u->insn_before + u->span;
-  eip_ = entry_eip + (u->insn_before + u->span) * kInsnSize;
+  eip_ = eip_base + (u32{u->slot} + u->span) * kInsnSize;
   PALLADIUM_TRACE_FLUSH_STATS();
   if (fc.op != FlagsCache::Op::kEager) {
     eflags_ = MaterializeFlags(fc, eflags_);

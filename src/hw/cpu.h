@@ -182,6 +182,7 @@ class Cpu {
     u64 flag_materializations = 0;  // lazy EFLAGS computed at an exit
     u64 probes_elided = 0;          // D-TLB probes answered by a live pin
     u64 demotions = 0;              // traces sent back to blocks for low yield
+    u64 side_exits = 0;             // calls left through a taken mid-trace jcc
   };
   const TraceStats& trace_stats() const { return trace_stats_; }
 
@@ -316,12 +317,12 @@ class Cpu {
   };
   BlockExit RunBlock(u64 cycle_limit, StopInfo* stop);
 
-  // The hot-trace tier: executes a lowered run body (see src/isa/uop.h).
-  // Called from inside block dispatch once the whole run is proved below
-  // the cycle/IRQ frontier; returns how the body ended.
+  // The hot-trace tier: executes a lowered chain of runs (see
+  // src/isa/uop.h). Called from inside block dispatch once the first run is
+  // proved below the cycle/IRQ frontier; returns how the call ended.
   enum class TraceExit : u8 {
-    kBody,     // body fully retired; dispatch the run's final slot
-    kBranch,   // the Jcc terminator left the trace; leave block dispatch
+    kBody,     // body fully retired; dispatch the trace's final slot
+    kBranch,   // left along a branch edge or at a run head; continue at `chain`
     kYield,    // decode generation changed during the call; leave block dispatch
     kStopped,  // fault: *stop filled, EIP on the faulting instruction
   };

@@ -1,11 +1,22 @@
 // Micro-op IR for the hot-trace translation tier (the third execution tier,
 // above the superblock engine). When a basic-block run crosses the hotness
-// threshold, Cpu::RunBlock lowers the run's straight-line *body* — every slot
-// but the last, i.e. exactly the slots whose retire boundaries the pre-summed
-// run_cost_max already proves unchecked — into a compact uop vector and
-// executes that instead. The run's final slot (terminator or last member)
-// still dispatches through the block engine's own handler, so chaining,
-// far-transfer and halt semantics stay in one place.
+// threshold, Cpu::RunBlock lowers it — and a short chain of the runs that
+// follow it in the same decoded page — into a compact uop vector and
+// executes that instead. The chain follows two kinds of edge:
+//
+//  * a direct near `jmp` to a slot-aligned target in the same page: the
+//    jump is elided (its instruction and cost go into the prefix sums) and a
+//    kHead uop re-checks the cycle/IRQ frontier at the target run's head;
+//  * the not-taken edge of a `jcc`: the branch becomes a side-exit uop that
+//    leaves the trace with exact state when taken, and re-checks the
+//    frontier at the fall-through run's head when not.
+//
+// The chain stops at a loop-back to the entry slot (which iterates in place,
+// whether the edge back is a taken branch, a fall-through or a `jmp`),
+// at any other terminator, at the page end, or at kMaxTraceSlots. A
+// chain-ending slot that is not a conditional branch still dispatches
+// through the block engine's own handler, so chaining, far-transfer and halt
+// semantics stay in one place.
 //
 // The lowering pass performs the three optimisations of this tier:
 //
@@ -230,6 +241,46 @@ inline u32 MaterializeFlags(const FlagsCache& fc, u32 eflags) {
          (zf ? kFlagZf : 0) | (sf ? kFlagSf : 0) | (of ? kFlagOf : 0);
 }
 
+// Branch conditions, indexed by Opcode - kJe (je jne jb jae jbe ja jl jge
+// jle jg js jns). JccTaken reads the lazy cache one flag at a time;
+// CmpJccTaken evaluates straight from a compare's operands via the standard
+// sub-flag identities (jb is unsigned a < b, jl is signed a < b, js is the
+// sign of a - b, ...), which are exactly what ExecOp's per-flag reads of a
+// cmp's EFLAGS compute.
+inline bool JccTaken(u8 cond, const FlagsCache& fc, u32 eflags) {
+  switch (cond) {
+    case 0: return LazyZf(fc, eflags);
+    case 1: return !LazyZf(fc, eflags);
+    case 2: return LazyCf(fc, eflags);
+    case 3: return !LazyCf(fc, eflags);
+    case 4: return LazyCf(fc, eflags) || LazyZf(fc, eflags);
+    case 5: return !LazyCf(fc, eflags) && !LazyZf(fc, eflags);
+    case 6: return LazySf(fc, eflags) != LazyOf(fc, eflags);
+    case 7: return LazySf(fc, eflags) == LazyOf(fc, eflags);
+    case 8: return LazyZf(fc, eflags) || LazySf(fc, eflags) != LazyOf(fc, eflags);
+    case 9: return !LazyZf(fc, eflags) && LazySf(fc, eflags) == LazyOf(fc, eflags);
+    case 10: return LazySf(fc, eflags);
+    default: return !LazySf(fc, eflags);
+  }
+}
+
+inline bool CmpJccTaken(u8 cond, u32 a, u32 b) {
+  switch (cond) {
+    case 0: return a == b;
+    case 1: return a != b;
+    case 2: return a < b;
+    case 3: return a >= b;
+    case 4: return a <= b;
+    case 5: return a > b;
+    case 6: return static_cast<i32>(a) < static_cast<i32>(b);
+    case 7: return static_cast<i32>(a) >= static_cast<i32>(b);
+    case 8: return static_cast<i32>(a) <= static_cast<i32>(b);
+    case 9: return static_cast<i32>(a) > static_cast<i32>(b);
+    case 10: return ((a - b) >> 31) != 0;
+    default: return ((a - b) >> 31) == 0;
+  }
+}
+
 enum class UopKind : u8 {
   kNop,    // retire accounting only
   kMovRR,  // r1 <- r2
@@ -254,24 +305,35 @@ enum class UopKind : u8 {
   // execution core (segment moves, udiv). Never writes flags (no such
   // non-terminator opcode does), may fault or touch memory.
   kExec,
-  // Terminator: the run's final slot when it is a conditional branch.
+  // Terminator: the trace's final slot when it is a conditional branch.
   // r1 = condition (Opcode - kJe), imm = taken target, cost = the slot's
   // not-taken cost (taken charges the model's taken-branch cost). Evaluated
   // from the lazy cache one flag at a time; when taken straight back to the
-  // run's own entry under the frontier the block engine would re-check, the
-  // executor loops in place — a hot loop iterates entirely inside the trace
-  // and the per-entry overhead amortizes over the whole loop.
+  // trace's own entry under the frontier the block engine would re-check,
+  // the executor loops in place — a hot loop iterates entirely inside the
+  // trace and the per-entry overhead amortizes over the whole loop.
   kJcc,
   // Fused compare-and-branch: a kCmp that immediately precedes the kJcc
   // terminator merges into it. r1/r2/b_imm/imm2 are the compare's operands
   // (imm2 because `imm` holds the branch target), r3 = condition, cost = the
   // compare's base cost, cost2 = the branch's not-taken cost, span = 2. The
-  // condition evaluates directly from the compare operands (jb == a < b,
-  // jl == signed a < b, ... — the standard sub-flag identities), skipping a
-  // dispatch and the lazy-flag round-trip on the hottest edge in any loop:
-  // its own backward branch. The operands are still recorded into the flags
-  // cache so every exit materializes the compare's EFLAGS exactly.
+  // condition evaluates directly from the compare operands (CmpJccTaken),
+  // skipping a dispatch and the lazy-flag round-trip on the hottest edge in
+  // any loop: its own backward branch. The operands are still recorded into
+  // the flags cache so every exit materializes the compare's EFLAGS exactly.
   kCmpJcc,
+  // Side exits: kJcc / kCmpJcc in the middle of the trace, with the same
+  // operand layout. Taken leaves the trace at the branch target. Not taken
+  // continues into the fall-through run after the run-head frontier check
+  // (`head_cost`), leaving at that head with exact state if it fails.
+  kSideJcc,
+  kSideCmpJcc,
+  // The head of a run reached through an elided `jmp`: re-checks the
+  // frontier (`head_cost`) and the decode generation — Cpu::RunBlock's
+  // `chain` and `run_start` checks — and leaves at the head if either
+  // fails. Retires nothing (span 0); `slot` is the head slot and `imm` the
+  // elided jump's target EIP.
+  kHead,
 };
 
 struct Uop {
@@ -300,6 +362,10 @@ struct Uop {
   i32 disp = 0;                   // displacement / fold last-op immediate
   i32 imm2 = 0;                   // fold delta before the last op
   u32 cost2 = 0;                  // kCmpJcc: the branch's not-taken cost
+  // Side exits and kHead: the prefix base cost at the next run head plus
+  // that run's run_cost_max. The run may start iff cycles at the start of
+  // the current iteration + head_cost < the frontier.
+  u32 head_cost = 0;
 };
 
 // A pinned translation: one memory uop's last successful D-TLB entry. Live
@@ -317,16 +383,37 @@ struct TracePin {
   u8* host = nullptr;
 };
 
-// A lowered run body. Owned by the decoded page it was built from (see
+// Upper bound on the instruction slots one trace covers across its chain of
+// runs. Keeps the u16 prefix sums far from overflow and bounds the work a
+// single lowering does.
+inline constexpr u32 kMaxTraceSlots = 128;
+
+// A lowered chain of runs. Owned by the decoded page it was built from (see
 // DecodeCache::Page::traces); dies with the page on any invalidation.
 struct Trace {
   std::vector<Uop> uops;
   bool threaded = false;  // uop targets filled in by the executor
   std::vector<TracePin> pins;
-  u32 body_insns = 0;  // instructions the body retires (== run_len - 1)
-  u32 body_cost = 0;   // summed base costs of the body
+  // Retire totals of the path from the entry to the final slot (elided
+  // jumps included, the final slot excluded), for the exit that hands the
+  // final slot to the block engine.
+  u32 body_insns = 0;
+  u32 body_cost = 0;
   u16 entry_slot = 0;
-  u8 run_len = 0;
+  u16 final_slot = 0;  // the slot the block engine dispatches after the body
+  // The final slot is a `jmp` back to the entry: at the body's end the
+  // executor loops in place (loop_cost = the jump's cost) instead of
+  // handing the jump to the block engine.
+  bool jmp_loop = false;
+  u32 loop_cost = 0;
+  // The entry EIP the chain's jump targets were resolved against. A call
+  // entered at another EIP (the same physical page at another linear
+  // address) runs only the first run.
+  u32 lowered_eip = 0;
+  // Bytes from the entry slot's start to the end of the highest slot the
+  // trace covers: the CS-limit reach one call needs for its later runs.
+  u32 reach_bytes = 0;
+  u32 lowered_insns = 0;  // instructions across every run of the chain
   // Measured yield, judged by Cpu::RunBlock once `calls` reaches the
   // probation window. A call is one executor entry; an in-place loop-back
   // is not a new call, but its instructions count in `insns`.
@@ -334,11 +421,13 @@ struct Trace {
   u64 insns = 0;  // instructions retired across all calls
 };
 
-// Lowers the body of the run starting at `slots[entry_slot]` (run_len from
-// the slot's own annotation). Returns nullptr when the run has no body worth
-// lowering. Pure ISA-side: no CPU state is consulted — register indices,
-// segments and costs are all taken from the decoded slots.
-std::unique_ptr<Trace> LowerRun(const DecodedInsn* slots, u32 entry_slot, u32 run_len);
+// Lowers the run starting at `slots[entry_slot]` (run_len from the slot's
+// own annotation) and the chain of runs that follows it, resolving jump
+// targets against `entry_eip`, the EIP the run was entered at. Returns
+// nullptr when the run has no body worth lowering. Pure ISA-side: no CPU
+// state is consulted — register indices, segments and costs are all taken
+// from the decoded slots.
+std::unique_ptr<Trace> LowerRun(const DecodedInsn* slots, u32 entry_slot, u32 entry_eip);
 
 }  // namespace palladium
 

@@ -1,7 +1,10 @@
 #include "src/kernel/sched.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 
+#include "src/hw/smp.h"
 #include "src/obs/profile.h"
 
 namespace palladium {
@@ -199,9 +202,26 @@ void Scheduler::ServiceParked(u32 c, u64 event_cycle, bool machine_idle) {
   kernel_.ServicePendingIrqsHostSide();
 }
 
+namespace {
+
+// PALLADIUM_HOST_THREADS selects the threaded harness for RunSmp only; a
+// Scheduler always steps its vCPUs on the min-cycle interleaver. Say so,
+// once per process, rather than ignore the knob silently.
+void WarnHostThreadsIgnored(u32 num_cpus) {
+  static std::atomic<bool> warned{false};
+  if (warned.exchange(true)) return;
+  std::fprintf(stderr,
+               "palladium: PALLADIUM_HOST_THREADS is set, but Scheduler::RunAll steps its "
+               "%u vCPUs on the min-cycle interleaver; the knob applies to RunSmp only\n",
+               num_cpus);
+}
+
+}  // namespace
+
 Scheduler::RunAllResult Scheduler::RunAll(u64 cycle_budget) {
   Machine& m = kernel_.machine();
   const u32 n = static_cast<u32>(cpus_.size());
+  if (n > 1 && HostThreadsEnabled()) WarnHostThreadsIgnored(n);
   u64 start_max = 0;
   for (u32 c = 0; c < n; ++c) start_max = std::max(start_max, m.cpu(c).cycles());
   const u64 deadline = cycle_budget == ~0ull ? ~0ull : start_max + cycle_budget;

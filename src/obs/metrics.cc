@@ -42,6 +42,7 @@ void MetricsRegistry::CollectCpu(const Cpu& cpu, u32 index) {
           cpu.trace_stats().flag_materializations);
   Counter(p + "trace.probes_elided", cpu.trace_stats().probes_elided);
   Counter(p + "trace.demotions", cpu.trace_stats().demotions);
+  Counter(p + "trace.side_exits", cpu.trace_stats().side_exits);
 }
 
 void MetricsRegistry::CollectSched(const Scheduler& sched, u32 num_cpus) {

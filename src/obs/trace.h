@@ -35,7 +35,7 @@ enum class EventType : u8 {
   kCrossingExit,    // crossing returned/aborted          {function_id, ok}
   kContextSwitch,   // scheduler dispatched a process     {pid, 0}
   kTlbShootdown,    // cross-CPU TLB shootdown            {page, remote_cpus}
-  kTraceCompile,    // hot run lowered to a uop trace     {eip, run_len}
+  kTraceCompile,    // hot run lowered to a uop trace     {eip, insns lowered}
   kTraceInvalidate, // hot trace died to a code write     {eip, 0}
   kTraceDemote,     // low-yield trace sent back to blocks {eip, insns per call}
   kNapiPoll,        // NAPI poll batch drained            {queue, frames}

@@ -249,9 +249,10 @@ constexpr u32 kFuzzMem = 8u << 20;
 // supervisor (PPL 0) page inside the data window.
 enum class FuzzMode : int { kPlainCpl0 = 0, kPlainCpl3, kHostileCpl3, kHostileCpl0, kCount };
 
-std::vector<u8> EncodeFuzzProgram(u64 seed, u32 iterations, u32 body_len) {
+std::vector<u8> EncodeFuzzProgram(u64 seed, u32 iterations, u32 body_len,
+                                  const FuzzShape& shape) {
   return EncodeLoopedFuzzProgram(seed, iterations, body_len, kCodeBase, kFuzzDataBase,
-                                 kFuzzDataSpan);
+                                 kFuzzDataSpan, /*esp_reset=*/0, shape);
 }
 
 DiffRun RunDifferential(const std::vector<u8>& program, FuzzMode mode, bool dtlb) {
@@ -295,43 +296,54 @@ DiffRun RunDifferential(const std::vector<u8>& program, FuzzMode mode, bool dtlb
   return out;
 }
 
-TEST(DtlbDifferential, FastAndSlowPathsAgreeOnRandomPrograms) {
-  constexpr u32 kSeeds = 52;
+// One seed of the D-TLB differential: the program runs with the data fast
+// path on and off, and every architectural result must agree.
+void ExpectDtlbFuzzAgrees(u64 seed, const FuzzShape& shape) {
   constexpr u32 kIterations = 400;
   constexpr u32 kBodyLen = 224;  // > 10k executed instructions per seed
   static_assert(kIterations >= kFuzzMinIterations, "demotion must happen mid-run");
-  for (u64 seed = 1; seed <= kSeeds; ++seed) {
-    const FuzzMode mode = static_cast<FuzzMode>(seed % static_cast<u64>(FuzzMode::kCount));
-    const std::vector<u8> program = EncodeFuzzProgram(seed, kIterations, kBodyLen);
-    DiffRun fast = RunDifferential(program, mode, /*dtlb=*/true);
-    DiffRun slow = RunDifferential(program, mode, /*dtlb=*/false);
+  const FuzzMode mode = static_cast<FuzzMode>(seed % static_cast<u64>(FuzzMode::kCount));
+  const std::vector<u8> program = EncodeFuzzProgram(seed, kIterations, kBodyLen, shape);
+  DiffRun fast = RunDifferential(program, mode, /*dtlb=*/true);
+  DiffRun slow = RunDifferential(program, mode, /*dtlb=*/false);
 
-    SCOPED_TRACE("seed " + std::to_string(seed) + " mode " +
-                 std::to_string(static_cast<int>(mode)));
-    EXPECT_EQ(fast.final_reason, slow.final_reason);
-    EXPECT_GE(fast.instructions, 10'000u) << "fuzz body too small to be meaningful";
-    EXPECT_EQ(fast.instructions, slow.instructions);
-    EXPECT_EQ(fast.cycles, slow.cycles) << "cycle model diverged";
-    EXPECT_EQ(fast.tlb_hits, slow.tlb_hits) << "TLB hit accounting diverged";
-    EXPECT_EQ(fast.tlb_misses, slow.tlb_misses);
+  SCOPED_TRACE("seed " + std::to_string(seed) + " mode " +
+               std::to_string(static_cast<int>(mode)) + " shape " + FuzzShapeName(shape));
+  EXPECT_EQ(fast.final_reason, slow.final_reason);
+  EXPECT_GE(fast.instructions, 10'000u) << "fuzz body too small to be meaningful";
+  EXPECT_EQ(fast.instructions, slow.instructions);
+  EXPECT_EQ(fast.cycles, slow.cycles) << "cycle model diverged";
+  EXPECT_EQ(fast.tlb_hits, slow.tlb_hits) << "TLB hit accounting diverged";
+  EXPECT_EQ(fast.tlb_misses, slow.tlb_misses);
 
-    ASSERT_EQ(fast.faults.size(), slow.faults.size()) << "fault streams differ in length";
-    for (size_t i = 0; i < fast.faults.size(); ++i) {
-      EXPECT_TRUE(fast.faults[i] == slow.faults[i]) << "fault " << i << " diverged";
-    }
+  ASSERT_EQ(fast.faults.size(), slow.faults.size()) << "fault streams differ in length";
+  for (size_t i = 0; i < fast.faults.size(); ++i) {
+    EXPECT_TRUE(fast.faults[i] == slow.faults[i]) << "fault " << i << " diverged";
+  }
 
-    EXPECT_EQ(fast.ctx.eip, slow.ctx.eip);
-    EXPECT_EQ(fast.ctx.eflags, slow.ctx.eflags);
-    EXPECT_EQ(fast.ctx.cpl, slow.ctx.cpl);
-    for (u8 r = 0; r < kNumRegs; ++r) {
-      EXPECT_EQ(fast.ctx.regs[r], slow.ctx.regs[r]) << "reg " << static_cast<int>(r);
-    }
-    for (u8 s = 0; s < kNumSegRegs; ++s) {
-      EXPECT_EQ(fast.ctx.segs[s].selector.raw(), slow.ctx.segs[s].selector.raw());
-    }
-    ASSERT_EQ(fast.memory.size(), slow.memory.size());
-    EXPECT_EQ(std::memcmp(fast.memory.data(), slow.memory.data(), fast.memory.size()), 0)
-        << "memory images diverged";
+  EXPECT_EQ(fast.ctx.eip, slow.ctx.eip);
+  EXPECT_EQ(fast.ctx.eflags, slow.ctx.eflags);
+  EXPECT_EQ(fast.ctx.cpl, slow.ctx.cpl);
+  for (u8 r = 0; r < kNumRegs; ++r) {
+    EXPECT_EQ(fast.ctx.regs[r], slow.ctx.regs[r]) << "reg " << static_cast<int>(r);
+  }
+  for (u8 s = 0; s < kNumSegRegs; ++s) {
+    EXPECT_EQ(fast.ctx.segs[s].selector.raw(), slow.ctx.segs[s].selector.raw());
+  }
+  ASSERT_EQ(fast.memory.size(), slow.memory.size());
+  EXPECT_EQ(std::memcmp(fast.memory.data(), slow.memory.data(), fast.memory.size()), 0)
+      << "memory images diverged";
+}
+
+TEST(DtlbDifferential, FastAndSlowPathsAgreeOnRandomPrograms) {
+  for (u64 seed = 1; seed <= 52; ++seed) ExpectDtlbFuzzAgrees(seed, FuzzShape{});
+}
+
+// The jump-shape families: forward `jmp`s in the body and top-tested loops,
+// whose traces chain several runs.
+TEST(DtlbDifferential, JumpShapesAgree) {
+  for (const FuzzShape& shape : kJumpShapes) {
+    for (u64 seed = 1; seed <= 16; ++seed) ExpectDtlbFuzzAgrees(seed, shape);
   }
 }
 
@@ -486,118 +498,138 @@ IrqDiffRun RunDifferentialIrq(const std::vector<u8>& program, FuzzMode mode, boo
   return out;
 }
 
-TEST(IrqDifferential, AllSixteenModesAgreeUnderRandomInterrupts) {
-  constexpr u32 kSeeds = 16;
+// One seed of the interrupt differential across all sixteen modes. Adds the
+// number of interrupts delivered to `irqs` and each tier-active mode's trace
+// demotions to `demotions`.
+void ExpectIrqFuzzAgrees(u64 seed, const FuzzShape& shape, u64* irqs,
+                         std::map<std::string, u64>* demotions) {
   constexpr u32 kIterations = 300;
   constexpr u32 kBodyLen = 160;
   static_assert(kIterations >= kFuzzMinIterations, "demotion must happen mid-run");
+  const FuzzMode mode = static_cast<FuzzMode>(seed % static_cast<u64>(FuzzMode::kCount));
+  const std::vector<u8> program = EncodeFuzzProgram(seed * 31 + 7, kIterations, kBodyLen, shape);
+  const u64 timer_period = 2'000 + (seed * 977) % 9'000;
+  // Scripted second device: IRQ 5 at pseudo-random cycle counts.
+  std::vector<u64> nic_times;
+  u64 st = seed * 0xA24BAED4963EE407ull + 3;
+  u64 t = 1'000;
+  for (int i = 0; i < 40; ++i) {
+    t += 500 + NextRand(&st) % 120'000;
+    nic_times.push_back(t);
+  }
+
+  struct ModeSpec {
+    bool blocks, trace, decode, dtlb;
+    const char* name;
+  };
+  // Full 16-mode cross: engine (block/insn) x trace tier (hot/off) x
+  // decode cache x D-TLB. The trace axis is inert without the block
+  // engine and decode cache (the tier is entered from RunBlock over a
+  // decoded page), but the inert combinations still pin down that merely
+  // enabling the tier changes nothing.
+  const ModeSpec specs[] = {{true, true, true, true, "block+trace/fast/fast"},
+                            {true, true, true, false, "block+trace/fast/oracle"},
+                            {true, true, false, true, "block+trace/oracle/fast"},
+                            {true, true, false, false, "block+trace/oracle/oracle"},
+                            {true, false, true, true, "block/fast/fast"},
+                            {true, false, true, false, "block/fast/oracle"},
+                            {true, false, false, true, "block/oracle/fast"},
+                            {true, false, false, false, "block/oracle/oracle"},
+                            {false, true, true, true, "insn+trace/fast/fast"},
+                            {false, true, true, false, "insn+trace/fast/oracle"},
+                            {false, true, false, true, "insn+trace/oracle/fast"},
+                            {false, true, false, false, "insn+trace/oracle/oracle"},
+                            {false, false, true, true, "insn/fast/fast"},
+                            {false, false, true, false, "insn/fast/oracle"},
+                            {false, false, false, true, "insn/oracle/fast"},
+                            {false, false, false, false, "insn/oracle/oracle"}};
+  IrqDiffRun ref;
+  for (int s = 0; s < 16; ++s) {
+    IrqDiffRun run = RunDifferentialIrq(program, mode, specs[s].blocks, specs[s].trace,
+                                        specs[s].decode, specs[s].dtlb, timer_period,
+                                        nic_times);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " config " + specs[s].name + " shape " +
+                 FuzzShapeName(shape));
+    if (specs[s].blocks && specs[s].trace && specs[s].decode) {
+      (*demotions)[specs[s].name] += run.trace_demotions;
+    } else {
+      EXPECT_EQ(run.trace_demotions, 0u) << "the trace tier is inert in this mode";
+    }
+    if (s == 0) {
+      ref = std::move(run);
+      // Forward branches can shorten a seed's run; at least one delivery
+      // per seed plus a healthy aggregate (checked below) keeps the fuzz
+      // honest about interrupts actually firing.
+      EXPECT_GE(ref.irqs.size(), 1u) << "interrupts must actually have fired";
+      *irqs += ref.irqs.size();
+      continue;
+    }
+    EXPECT_EQ(run.final_reason, ref.final_reason);
+    EXPECT_EQ(run.instructions, ref.instructions);
+    EXPECT_EQ(run.cycles, ref.cycles) << "cycle model diverged";
+    ASSERT_EQ(run.faults.size(), ref.faults.size());
+    for (size_t i = 0; i < run.faults.size(); ++i) {
+      EXPECT_TRUE(run.faults[i] == ref.faults[i]) << "fault " << i << " diverged";
+    }
+    ASSERT_EQ(run.irqs.size(), ref.irqs.size()) << "interrupt streams differ in length";
+    for (size_t i = 0; i < run.irqs.size(); ++i) {
+      EXPECT_TRUE(run.irqs[i] == ref.irqs[i])
+          << "irq " << i << " diverged: vector " << static_cast<int>(run.irqs[i].vector)
+          << " at cycle " << run.irqs[i].cycle << " vs " << ref.irqs[i].cycle;
+    }
+    ASSERT_EQ(run.arch_events.size(), ref.arch_events.size())
+        << "flight-recorder arch streams differ in length";
+    for (size_t i = 0; i < run.arch_events.size(); ++i) {
+      EXPECT_TRUE(run.arch_events[i] == ref.arch_events[i])
+          << "arch event " << i << " (" << EventTypeName(run.arch_events[i].type)
+          << ") diverged at cycle " << run.arch_events[i].cycle << " vs "
+          << ref.arch_events[i].cycle;
+    }
+    EXPECT_EQ(run.ctx.eip, ref.ctx.eip);
+    EXPECT_EQ(run.ctx.eflags, ref.ctx.eflags);
+    EXPECT_EQ(run.ctx.cpl, ref.ctx.cpl);
+    for (u8 r = 0; r < kNumRegs; ++r) {
+      EXPECT_EQ(run.ctx.regs[r], ref.ctx.regs[r]) << "reg " << static_cast<int>(r);
+    }
+    // TLB statistics are an implementation counter of the *fetch* path:
+    // they match whenever the decode-cache setting matches (the D-TLB
+    // keeps them exact by construction); across decode settings only the
+    // miss count is comparable.
+    if (specs[s].decode == specs[0].decode) {
+      EXPECT_EQ(run.tlb_hits, ref.tlb_hits);
+    }
+    EXPECT_EQ(run.tlb_misses, ref.tlb_misses);
+    ASSERT_EQ(run.memory.size(), ref.memory.size());
+    EXPECT_EQ(std::memcmp(run.memory.data(), ref.memory.data(), run.memory.size()), 0)
+        << "memory images diverged";
+  }
+}
+
+TEST(IrqDifferential, AllSixteenModesAgreeUnderRandomInterrupts) {
   u64 total_irqs = 0;
   // Trace demotions per tier-active mode, summed over seeds (a seed whose
   // hot runs all clear the yield rule demotes nothing).
   std::map<std::string, u64> demotions;
-  for (u64 seed = 1; seed <= kSeeds; ++seed) {
-    const FuzzMode mode = static_cast<FuzzMode>(seed % static_cast<u64>(FuzzMode::kCount));
-    const std::vector<u8> program = EncodeFuzzProgram(seed * 31 + 7, kIterations, kBodyLen);
-    const u64 timer_period = 2'000 + (seed * 977) % 9'000;
-    // Scripted second device: IRQ 5 at pseudo-random cycle counts.
-    std::vector<u64> nic_times;
-    u64 st = seed * 0xA24BAED4963EE407ull + 3;
-    u64 t = 1'000;
-    for (int i = 0; i < 40; ++i) {
-      t += 500 + NextRand(&st) % 120'000;
-      nic_times.push_back(t);
-    }
-
-    struct ModeSpec {
-      bool blocks, trace, decode, dtlb;
-      const char* name;
-    };
-    // Full 16-mode cross: engine (block/insn) x trace tier (hot/off) x
-    // decode cache x D-TLB. The trace axis is inert without the block
-    // engine and decode cache (the tier is entered from RunBlock over a
-    // decoded page), but the inert combinations still pin down that merely
-    // enabling the tier changes nothing.
-    const ModeSpec specs[] = {{true, true, true, true, "block+trace/fast/fast"},
-                              {true, true, true, false, "block+trace/fast/oracle"},
-                              {true, true, false, true, "block+trace/oracle/fast"},
-                              {true, true, false, false, "block+trace/oracle/oracle"},
-                              {true, false, true, true, "block/fast/fast"},
-                              {true, false, true, false, "block/fast/oracle"},
-                              {true, false, false, true, "block/oracle/fast"},
-                              {true, false, false, false, "block/oracle/oracle"},
-                              {false, true, true, true, "insn+trace/fast/fast"},
-                              {false, true, true, false, "insn+trace/fast/oracle"},
-                              {false, true, false, true, "insn+trace/oracle/fast"},
-                              {false, true, false, false, "insn+trace/oracle/oracle"},
-                              {false, false, true, true, "insn/fast/fast"},
-                              {false, false, true, false, "insn/fast/oracle"},
-                              {false, false, false, true, "insn/oracle/fast"},
-                              {false, false, false, false, "insn/oracle/oracle"}};
-    IrqDiffRun ref;
-    for (int s = 0; s < 16; ++s) {
-      IrqDiffRun run = RunDifferentialIrq(program, mode, specs[s].blocks, specs[s].trace,
-                                          specs[s].decode, specs[s].dtlb, timer_period,
-                                          nic_times);
-      SCOPED_TRACE("seed " + std::to_string(seed) + " config " + specs[s].name);
-      if (specs[s].blocks && specs[s].trace && specs[s].decode) {
-        demotions[specs[s].name] += run.trace_demotions;
-      } else {
-        EXPECT_EQ(run.trace_demotions, 0u) << "the trace tier is inert in this mode";
-      }
-      if (s == 0) {
-        ref = std::move(run);
-        // Forward branches can shorten a seed's run; at least one delivery
-        // per seed plus a healthy aggregate (checked below) keeps the fuzz
-        // honest about interrupts actually firing.
-        EXPECT_GE(ref.irqs.size(), 1u) << "interrupts must actually have fired";
-        total_irqs += ref.irqs.size();
-        continue;
-      }
-      EXPECT_EQ(run.final_reason, ref.final_reason);
-      EXPECT_EQ(run.instructions, ref.instructions);
-      EXPECT_EQ(run.cycles, ref.cycles) << "cycle model diverged";
-      ASSERT_EQ(run.faults.size(), ref.faults.size());
-      for (size_t i = 0; i < run.faults.size(); ++i) {
-        EXPECT_TRUE(run.faults[i] == ref.faults[i]) << "fault " << i << " diverged";
-      }
-      ASSERT_EQ(run.irqs.size(), ref.irqs.size()) << "interrupt streams differ in length";
-      for (size_t i = 0; i < run.irqs.size(); ++i) {
-        EXPECT_TRUE(run.irqs[i] == ref.irqs[i])
-            << "irq " << i << " diverged: vector " << static_cast<int>(run.irqs[i].vector)
-            << " at cycle " << run.irqs[i].cycle << " vs " << ref.irqs[i].cycle;
-      }
-      ASSERT_EQ(run.arch_events.size(), ref.arch_events.size())
-          << "flight-recorder arch streams differ in length";
-      for (size_t i = 0; i < run.arch_events.size(); ++i) {
-        EXPECT_TRUE(run.arch_events[i] == ref.arch_events[i])
-            << "arch event " << i << " (" << EventTypeName(run.arch_events[i].type)
-            << ") diverged at cycle " << run.arch_events[i].cycle << " vs "
-            << ref.arch_events[i].cycle;
-      }
-      EXPECT_EQ(run.ctx.eip, ref.ctx.eip);
-      EXPECT_EQ(run.ctx.eflags, ref.ctx.eflags);
-      EXPECT_EQ(run.ctx.cpl, ref.ctx.cpl);
-      for (u8 r = 0; r < kNumRegs; ++r) {
-        EXPECT_EQ(run.ctx.regs[r], ref.ctx.regs[r]) << "reg " << static_cast<int>(r);
-      }
-      // TLB statistics are an implementation counter of the *fetch* path:
-      // they match whenever the decode-cache setting matches (the D-TLB
-      // keeps them exact by construction); across decode settings only the
-      // miss count is comparable.
-      if (specs[s].decode == specs[0].decode) {
-        EXPECT_EQ(run.tlb_hits, ref.tlb_hits);
-      }
-      EXPECT_EQ(run.tlb_misses, ref.tlb_misses);
-      ASSERT_EQ(run.memory.size(), ref.memory.size());
-      EXPECT_EQ(std::memcmp(run.memory.data(), ref.memory.data(), run.memory.size()), 0)
-          << "memory images diverged";
-    }
+  for (u64 seed = 1; seed <= 16; ++seed) {
+    ExpectIrqFuzzAgrees(seed, FuzzShape{}, &total_irqs, &demotions);
   }
   EXPECT_GT(total_irqs, 60u) << "the interrupt fuzz barely interrupted anything";
   EXPECT_EQ(demotions.size(), 2u);
   for (const auto& [mode, count] : demotions) {
     EXPECT_GT(count, 0u) << mode << " never demoted a trace mid-run";
   }
+}
+
+// The jump-shape families under the same sixteen-mode cross.
+TEST(IrqDifferential, JumpShapesAgree) {
+  u64 total_irqs = 0;
+  std::map<std::string, u64> demotions;
+  for (const FuzzShape& shape : kJumpShapes) {
+    for (u64 seed = 1; seed <= 6; ++seed) {
+      ExpectIrqFuzzAgrees(seed, shape, &total_irqs, &demotions);
+    }
+  }
+  EXPECT_GT(total_irqs, 60u) << "the interrupt fuzz barely interrupted anything";
 }
 
 // --- SMP differential fuzz -----------------------------------------------------
@@ -728,133 +760,146 @@ SmpDiffRun RunSmpDifferential(const std::vector<std::vector<u8>>& programs, Fuzz
   return out;
 }
 
-TEST(SmpDifferential, AllModesAgreePerVcpuUnderSharedMemoryAndShootdowns) {
-  constexpr u32 kSeeds = 6;
+// One seed of the SMP differential for N in {1, 2, 4}. Adds each
+// (N, tier-active mode)'s trace demotions to `demotions`.
+void ExpectSmpFuzzAgrees(u64 seed, const FuzzShape& shape,
+                         std::map<std::string, u64>* demotions) {
   constexpr u32 kIterations = 150;
   constexpr u32 kBodyLen = 160;
   static_assert(kIterations >= kFuzzMinIterations, "demotion must happen mid-run");
-  // Trace demotions per (N, tier-active mode), summed over seeds and vCPUs.
-  std::map<std::string, u64> demotions;
-  for (u64 seed = 1; seed <= kSeeds; ++seed) {
-    const FuzzMode mode = static_cast<FuzzMode>(seed % static_cast<u64>(FuzzMode::kCount));
-    // Scripted shootdown points: pseudo-random global cycles early enough to
-    // land inside the run.
-    std::vector<u64> shootdowns;
-    u64 st = seed * 0x9E3779B97F4A7C15ull + 11;
-    u64 t = 1'200;
-    for (int i = 0; i < 6; ++i) {
-      t += 400 + NextRand(&st) % 4'000;
-      shootdowns.push_back(t);
+  const FuzzMode mode = static_cast<FuzzMode>(seed % static_cast<u64>(FuzzMode::kCount));
+  // Scripted shootdown points: pseudo-random global cycles early enough to
+  // land inside the run.
+  std::vector<u64> shootdowns;
+  u64 st = seed * 0x9E3779B97F4A7C15ull + 11;
+  u64 t = 1'200;
+  for (int i = 0; i < 6; ++i) {
+    t += 400 + NextRand(&st) % 4'000;
+    shootdowns.push_back(t);
+  }
+  for (u32 n : {1u, 2u, 4u}) {
+    std::vector<std::vector<u8>> programs;
+    for (u32 c = 0; c < n; ++c) {
+      // Each vCPU gets its own random body, branch targets rebased to its
+      // code window. (Shared program generator: tests/fuzz_util.h.)
+      const u64 pseed = seed * 101 + c * 17 + 3;
+      programs.push_back(EncodeLoopedFuzzProgram(pseed, kIterations, kBodyLen,
+                                                 kCodeBase + c * kSmpCodeStride,
+                                                 kFuzzDataBase, kFuzzDataSpan,
+                                                 /*esp_reset=*/0, shape));
     }
-    for (u32 n : {1u, 2u, 4u}) {
-      std::vector<std::vector<u8>> programs;
-      for (u32 c = 0; c < n; ++c) {
-        // Each vCPU gets its own random body, branch targets rebased to its
-        // code window. (Shared builder: tests/fuzz_util.h.)
-        const u64 pseed = seed * 101 + c * 17 + 3;
-        programs.push_back(EncodeLoopedFuzzProgram(pseed, kIterations, kBodyLen,
-                                                   kCodeBase + c * kSmpCodeStride,
-                                                   kFuzzDataBase, kFuzzDataSpan));
-      }
 
-      struct ModeSpec {
-        bool blocks, trace, decode, dtlb;
-        const char* name;
-      };
-      // Full 16-mode cross at N=1; the block-engine and trace-tier
-      // dimensions are spot-checked against the per-instruction and
-      // full-oracle configurations at N=2/4 (each extra SMP mode multiplies
-      // the interleaved run count).
-      const ModeSpec uni_specs[] = {
-          {true, true, true, true, "block+trace/fast/fast"},
-          {true, true, true, false, "block+trace/fast/oracle"},
-          {true, true, false, true, "block+trace/oracle/fast"},
-          {true, true, false, false, "block+trace/oracle/oracle"},
-          {true, false, true, true, "block/fast/fast"},
-          {true, false, true, false, "block/fast/oracle"},
-          {true, false, false, true, "block/oracle/fast"},
-          {true, false, false, false, "block/oracle/oracle"},
-          {false, true, true, true, "insn+trace/fast/fast"},
-          {false, true, true, false, "insn+trace/fast/oracle"},
-          {false, true, false, true, "insn+trace/oracle/fast"},
-          {false, true, false, false, "insn+trace/oracle/oracle"},
-          {false, false, true, true, "insn/fast/fast"},
-          {false, false, true, false, "insn/fast/oracle"},
-          {false, false, false, true, "insn/oracle/fast"},
-          {false, false, false, false, "insn/oracle/oracle"}};
-      const ModeSpec smp_specs[] = {
-          {true, true, true, true, "block+trace/fast/fast"},
-          {true, true, true, false, "block+trace/fast/oracle"},
-          {true, false, true, true, "block/fast/fast"},
-          {true, false, true, false, "block/fast/oracle"},
-          {false, true, true, true, "insn+trace/fast/fast"},
-          {false, false, true, true, "insn/fast/fast"},
-          {false, false, false, false, "insn/oracle/oracle"}};
-      const ModeSpec* specs = n == 1 ? uni_specs : smp_specs;
-      const int num_specs = n == 1 ? 16 : 7;
-      SmpDiffRun ref;
-      for (int s = 0; s < num_specs; ++s) {
-        SmpDiffRun run = RunSmpDifferential(programs, mode, specs[s].blocks, specs[s].trace,
-                                            specs[s].decode, specs[s].dtlb, shootdowns);
-        SCOPED_TRACE("seed " + std::to_string(seed) + " n " + std::to_string(n) +
-                     " config " + specs[s].name);
-        for (u32 c = 0; c < n; ++c) {
-          if (specs[s].blocks && specs[s].trace && specs[s].decode) {
-            demotions["n" + std::to_string(n) + " " + specs[s].name] +=
-                run.cpus[c].trace_demotions;
-          } else {
-            EXPECT_EQ(run.cpus[c].trace_demotions, 0u) << "the trace tier is inert in this mode";
-          }
+    struct ModeSpec {
+      bool blocks, trace, decode, dtlb;
+      const char* name;
+    };
+    // Full 16-mode cross at N=1; the block-engine and trace-tier
+    // dimensions are spot-checked against the per-instruction and
+    // full-oracle configurations at N=2/4 (each extra SMP mode multiplies
+    // the interleaved run count).
+    const ModeSpec uni_specs[] = {
+        {true, true, true, true, "block+trace/fast/fast"},
+        {true, true, true, false, "block+trace/fast/oracle"},
+        {true, true, false, true, "block+trace/oracle/fast"},
+        {true, true, false, false, "block+trace/oracle/oracle"},
+        {true, false, true, true, "block/fast/fast"},
+        {true, false, true, false, "block/fast/oracle"},
+        {true, false, false, true, "block/oracle/fast"},
+        {true, false, false, false, "block/oracle/oracle"},
+        {false, true, true, true, "insn+trace/fast/fast"},
+        {false, true, true, false, "insn+trace/fast/oracle"},
+        {false, true, false, true, "insn+trace/oracle/fast"},
+        {false, true, false, false, "insn+trace/oracle/oracle"},
+        {false, false, true, true, "insn/fast/fast"},
+        {false, false, true, false, "insn/fast/oracle"},
+        {false, false, false, true, "insn/oracle/fast"},
+        {false, false, false, false, "insn/oracle/oracle"}};
+    const ModeSpec smp_specs[] = {
+        {true, true, true, true, "block+trace/fast/fast"},
+        {true, true, true, false, "block+trace/fast/oracle"},
+        {true, false, true, true, "block/fast/fast"},
+        {true, false, true, false, "block/fast/oracle"},
+        {false, true, true, true, "insn+trace/fast/fast"},
+        {false, false, true, true, "insn/fast/fast"},
+        {false, false, false, false, "insn/oracle/oracle"}};
+    const ModeSpec* specs = n == 1 ? uni_specs : smp_specs;
+    const int num_specs = n == 1 ? 16 : 7;
+    SmpDiffRun ref;
+    for (int s = 0; s < num_specs; ++s) {
+      SmpDiffRun run = RunSmpDifferential(programs, mode, specs[s].blocks, specs[s].trace,
+                                          specs[s].decode, specs[s].dtlb, shootdowns);
+      SCOPED_TRACE("seed " + std::to_string(seed) + " n " + std::to_string(n) +
+                   " config " + specs[s].name + " shape " + FuzzShapeName(shape));
+      for (u32 c = 0; c < n; ++c) {
+        if (specs[s].blocks && specs[s].trace && specs[s].decode) {
+          (*demotions)["n" + std::to_string(n) + " " + specs[s].name] +=
+              run.cpus[c].trace_demotions;
+        } else {
+          EXPECT_EQ(run.cpus[c].trace_demotions, 0u) << "the trace tier is inert in this mode";
         }
-        if (s == 0) {
-          ref = std::move(run);
-          for (u32 c = 0; c < n; ++c) {
-            EXPECT_GE(ref.cpus[c].instructions, 1'000u)
-                << "vCPU " << c << " barely executed — fuzz not meaningful";
-          }
-          continue;
-        }
-        ASSERT_EQ(run.cpus.size(), ref.cpus.size());
-        for (u32 c = 0; c < n; ++c) {
-          SCOPED_TRACE("vcpu " + std::to_string(c));
-          const SmpCpuResult& a = run.cpus[c];
-          const SmpCpuResult& b = ref.cpus[c];
-          EXPECT_EQ(a.final_reason, b.final_reason);
-          EXPECT_EQ(a.instructions, b.instructions);
-          EXPECT_EQ(a.cycles, b.cycles) << "cycle model diverged";
-          ASSERT_EQ(a.faults.size(), b.faults.size()) << "fault streams differ in length";
-          for (size_t i = 0; i < a.faults.size(); ++i) {
-            EXPECT_TRUE(a.faults[i] == b.faults[i])
-                << "fault " << i << " diverged: eip " << std::hex << a.faults[i].eip
-                << " vs " << b.faults[i].eip << ", err " << a.faults[i].error_code << " vs "
-                << b.faults[i].error_code << ", linear " << a.faults[i].linear << " vs "
-                << b.faults[i].linear << std::dec << ", vector "
-                << static_cast<int>(a.faults[i].vector) << " vs "
-                << static_cast<int>(b.faults[i].vector) << ", at cycle "
-                << a.fault_cycles[i] << " vs " << b.fault_cycles[i];
-          }
-          EXPECT_EQ(a.ctx.eip, b.ctx.eip);
-          EXPECT_EQ(a.ctx.eflags, b.ctx.eflags);
-          EXPECT_EQ(a.ctx.cpl, b.ctx.cpl);
-          for (u8 r = 0; r < kNumRegs; ++r) {
-            EXPECT_EQ(a.ctx.regs[r], b.ctx.regs[r]) << "reg " << static_cast<int>(r);
-          }
-          ASSERT_EQ(a.arch_events.size(), b.arch_events.size())
-              << "flight-recorder arch streams differ in length";
-          for (size_t i = 0; i < a.arch_events.size(); ++i) {
-            EXPECT_TRUE(a.arch_events[i] == b.arch_events[i])
-                << "arch event " << i << " diverged";
-          }
-        }
-        ASSERT_EQ(run.memory.size(), ref.memory.size());
-        EXPECT_EQ(std::memcmp(run.memory.data(), ref.memory.data(), run.memory.size()), 0)
-            << "shared memory images diverged";
       }
+      if (s == 0) {
+        ref = std::move(run);
+        for (u32 c = 0; c < n; ++c) {
+          EXPECT_GE(ref.cpus[c].instructions, 1'000u)
+              << "vCPU " << c << " barely executed — fuzz not meaningful";
+        }
+        continue;
+      }
+      ASSERT_EQ(run.cpus.size(), ref.cpus.size());
+      for (u32 c = 0; c < n; ++c) {
+        SCOPED_TRACE("vcpu " + std::to_string(c));
+        const SmpCpuResult& a = run.cpus[c];
+        const SmpCpuResult& b = ref.cpus[c];
+        EXPECT_EQ(a.final_reason, b.final_reason);
+        EXPECT_EQ(a.instructions, b.instructions);
+        EXPECT_EQ(a.cycles, b.cycles) << "cycle model diverged";
+        ASSERT_EQ(a.faults.size(), b.faults.size()) << "fault streams differ in length";
+        for (size_t i = 0; i < a.faults.size(); ++i) {
+          EXPECT_TRUE(a.faults[i] == b.faults[i])
+              << "fault " << i << " diverged: eip " << std::hex << a.faults[i].eip
+              << " vs " << b.faults[i].eip << ", err " << a.faults[i].error_code << " vs "
+              << b.faults[i].error_code << ", linear " << a.faults[i].linear << " vs "
+              << b.faults[i].linear << std::dec << ", vector "
+              << static_cast<int>(a.faults[i].vector) << " vs "
+              << static_cast<int>(b.faults[i].vector) << ", at cycle "
+              << a.fault_cycles[i] << " vs " << b.fault_cycles[i];
+        }
+        EXPECT_EQ(a.ctx.eip, b.ctx.eip);
+        EXPECT_EQ(a.ctx.eflags, b.ctx.eflags);
+        EXPECT_EQ(a.ctx.cpl, b.ctx.cpl);
+        for (u8 r = 0; r < kNumRegs; ++r) {
+          EXPECT_EQ(a.ctx.regs[r], b.ctx.regs[r]) << "reg " << static_cast<int>(r);
+        }
+        ASSERT_EQ(a.arch_events.size(), b.arch_events.size())
+            << "flight-recorder arch streams differ in length";
+        for (size_t i = 0; i < a.arch_events.size(); ++i) {
+          EXPECT_TRUE(a.arch_events[i] == b.arch_events[i])
+              << "arch event " << i << " diverged";
+        }
+      }
+      ASSERT_EQ(run.memory.size(), ref.memory.size());
+      EXPECT_EQ(std::memcmp(run.memory.data(), ref.memory.data(), run.memory.size()), 0)
+          << "shared memory images diverged";
     }
   }
+}
+
+TEST(SmpDifferential, AllModesAgreePerVcpuUnderSharedMemoryAndShootdowns) {
+  // Trace demotions per (N, tier-active mode), summed over seeds and vCPUs.
+  std::map<std::string, u64> demotions;
+  for (u64 seed = 1; seed <= 6; ++seed) ExpectSmpFuzzAgrees(seed, FuzzShape{}, &demotions);
   EXPECT_EQ(demotions.size(), 6u);  // two tier-active modes for each N
   for (const auto& [mode, count] : demotions) {
     EXPECT_GT(count, 0u) << mode << " never demoted a trace mid-run";
+  }
+}
+
+// The jump-shape families under the same SMP cross.
+TEST(SmpDifferential, JumpShapesAgree) {
+  std::map<std::string, u64> demotions;
+  for (const FuzzShape& shape : kJumpShapes) {
+    for (u64 seed = 1; seed <= 3; ++seed) ExpectSmpFuzzAgrees(seed, shape, &demotions);
   }
 }
 

@@ -10,6 +10,8 @@
 #ifndef TESTS_FUZZ_UTIL_H_
 #define TESTS_FUZZ_UTIL_H_
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/hw/cpu.h"
@@ -37,12 +39,37 @@ struct FaultRecord {
   }
 };
 
+// Program shapes beyond the base family. The default shape generates, for
+// every seed, exactly the bytes it always has; each flag is a new family
+// whose programs exercise the trace tier's run chaining.
+struct FuzzShape {
+  // Forward unconditional `jmp`s inside the body, to targets before the
+  // drain tail (same-page jumps the trace tier elides and follows).
+  bool forward_jumps = false;
+  // A top-tested loop, `cmp ecx,0; je out` ... `dec ecx; jmp head`, instead
+  // of the bottom-tested `dec; cmp; jne` (side exit + elided jump).
+  bool top_tested = false;
+};
+
+// The jump-shape families every differential runs besides the base one.
+inline constexpr FuzzShape kJumpShapes[] = {
+    {/*forward_jumps=*/true, /*top_tested=*/false},
+    {/*forward_jumps=*/false, /*top_tested=*/true},
+    {/*forward_jumps=*/true, /*top_tested=*/true},
+};
+
+inline std::string FuzzShapeName(const FuzzShape& shape) {
+  return std::string(shape.forward_jumps ? "jumps" : "nojumps") +
+         (shape.top_tested ? "/top-tested" : "/bottom-tested");
+}
+
 // Pseudo-random straight-line body of `body_len` instruction slots based at
 // `body_base`, with loads/stores confined to [data_base, data_base +
 // data_span). ECX is the loop counter and ESP the stack pointer (never a
 // random destination, so iterations terminate).
 inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
-                                       u32 data_base, u32 data_span) {
+                                       u32 data_base, u32 data_span,
+                                       bool forward_jumps = false) {
   std::vector<Insn> body;
   body.reserve(body_len);
   // EAX/EBX/EDX/EDI/EBP are fair game; ECX is the loop counter and ESP the
@@ -193,9 +220,18 @@ inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
         in.scale = 0;
         in.disp = static_cast<i32>(NextRand(state) % 256);
         break;
-      default:
-        in.opcode = Opcode::kNop;
+      case 15: {  // forward unconditional jump (jump-shape families only),
+                  // short, so an iteration still runs most of the body
+        const u32 lo = static_cast<u32>(body.size()) + 1;
+        const u32 hi = std::min(body_len - static_cast<u32>(depth), lo + 8);
+        if (!forward_jumps || hi <= lo) {
+          in.opcode = Opcode::kNop;
+          break;
+        }
+        in.opcode = Opcode::kJmp;
+        in.imm = static_cast<i32>(body_base + (lo + NextRand(state) % (hi - lo)) * kInsnSize);
         break;
+      }
     }
     body.push_back(in);
   }
@@ -210,7 +246,9 @@ inline constexpr u32 kFuzzMinIterations =
     2 * (Cpu::kTraceHotThreshold + Cpu::kTraceProbation);
 
 // Counted loop around a fuzz body: ECX = iterations; body; dec/cmp/jne back
-// to the body; hlt. Encoded for loading at `code_base`.
+// to the body; hlt — or, for a top-tested `shape`, ECX = iterations;
+// cmp/je out; body; dec/jmp back to the compare; out: hlt. Either way the
+// body runs `iterations` times. Encoded for loading at `code_base`.
 //
 // `esp_reset`: when nonzero, the loop head reloads ESP with this value every
 // iteration. A runtime-unbalanced body (forward branches skipping pushes or
@@ -223,7 +261,8 @@ inline constexpr u32 kFuzzMinIterations =
 // identical on both sides of each differential, which is all they need).
 inline std::vector<u8> EncodeLoopedFuzzProgram(u64 seed, u32 iterations, u32 body_len,
                                                u32 code_base, u32 data_base,
-                                               u32 data_span, u32 esp_reset = 0) {
+                                               u32 data_span, u32 esp_reset = 0,
+                                               const FuzzShape& shape = FuzzShape{}) {
   u64 state = seed * 0x9E3779B97F4A7C15ull + 1;
   std::vector<Insn> program;
   Insn init;
@@ -246,22 +285,40 @@ inline std::vector<u8> EncodeLoopedFuzzProgram(u64 seed, u32 iterations, u32 bod
     reset.imm = static_cast<i32>(esp_reset);
     program.push_back(reset);
   }
-  const u32 body_base = code_base + static_cast<u32>(program.size()) * kInsnSize;
-  std::vector<Insn> body = BuildFuzzBody(&state, body_base, body_len, data_base, data_span);
-  program.insert(program.end(), body.begin(), body.end());
   Insn dec;
   dec.opcode = Opcode::kDecR;
   dec.r1 = static_cast<u8>(Reg::kEcx);
-  program.push_back(dec);
   Insn cmp;
   cmp.opcode = Opcode::kCmpRI;
   cmp.r1 = static_cast<u8>(Reg::kEcx);
   cmp.imm = 0;
-  program.push_back(cmp);
-  Insn jne;
-  jne.opcode = Opcode::kJne;
-  jne.imm = static_cast<i32>(loop_base);  // re-runs the ESP reset when present
-  program.push_back(jne);
+  size_t je_index = 0;
+  if (shape.top_tested) {
+    program.push_back(cmp);
+    je_index = program.size();
+    Insn je;
+    je.opcode = Opcode::kJe;  // target patched below, once `out` is known
+    program.push_back(je);
+  }
+  const u32 body_base = code_base + static_cast<u32>(program.size()) * kInsnSize;
+  std::vector<Insn> body = BuildFuzzBody(&state, body_base, body_len, data_base, data_span,
+                                         shape.forward_jumps);
+  program.insert(program.end(), body.begin(), body.end());
+  program.push_back(dec);
+  if (shape.top_tested) {
+    Insn jmp;
+    jmp.opcode = Opcode::kJmp;
+    jmp.imm = static_cast<i32>(loop_base);  // re-runs the ESP reset when present
+    program.push_back(jmp);
+    program[je_index].imm =
+        static_cast<i32>(code_base + static_cast<u32>(program.size()) * kInsnSize);
+  } else {
+    program.push_back(cmp);
+    Insn jne;
+    jne.opcode = Opcode::kJne;
+    jne.imm = static_cast<i32>(loop_base);  // re-runs the ESP reset when present
+    program.push_back(jne);
+  }
   Insn hlt;
   hlt.opcode = Opcode::kHlt;
   program.push_back(hlt);

@@ -3,6 +3,9 @@
 // legacy RunProcess path staying intact alongside the scheduler.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "src/kernel/sched.h"
 #include "tests/kernel_test_util.h"
 
@@ -71,6 +74,30 @@ TEST(Sched, RoundRobinInterleavesTwoCpuBoundProcesses) {
   EXPECT_GE(transitions, 3u) << "expected A/B alternation, got a serial run";
   EXPECT_EQ(f.kernel().process(a)->state, ProcessState::kExited);
   EXPECT_EQ(f.kernel().process(b)->state, ProcessState::kExited);
+}
+
+// PALLADIUM_HOST_THREADS has no effect on a Scheduler-driven machine (it
+// picks the harness of RunSmp only), so a multi-vCPU RunAll under the knob
+// must say so on stderr. The warning is once per process, so the check runs
+// in a fresh child process (a threadsafe death test re-executes the binary).
+TEST(Sched, HostThreadsKnobIgnoredByRunAllWarnsOnce) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ::setenv("PALLADIUM_HOST_THREADS", "1", 1);
+        KernelFixture f(/*num_cpus=*/2);
+        Scheduler sched(f.kernel(), Scheduler::Config{});
+        std::string diag;
+        const Pid p = f.LoadProgram(StamperSource(1, 2, 100), &diag);
+        f.kernel().RegisterSyscall(232, [](Kernel& k, u32, u32, u32) { k.ReturnFromGate(0); });
+        sched.AddProcess(p);
+        sched.RunAll(1'000'000'000ull);
+        sched.RunAll(1'000'000'000ull);  // a second run stays quiet
+        std::exit(p != 0 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0),
+      "^palladium: PALLADIUM_HOST_THREADS is set, but Scheduler::RunAll steps its 2 vCPUs "
+      "on the min-cycle interleaver; the knob applies to RunSmp only\n$");
 }
 
 TEST(Sched, YieldRotatesWithoutWaitingForSliceExpiry) {

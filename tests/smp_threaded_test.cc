@@ -73,7 +73,7 @@ constexpr u64 kEpochCycles = 1024;
 // data-race-freedom precondition needs.
 u32 WindowBase(u32 c) { return kDataBase + c * kDataSpan; }
 
-std::vector<u8> BuildProgram(u64 seed, u32 c) {
+std::vector<u8> BuildProgram(u64 seed, u32 c, const FuzzShape& shape = FuzzShape{}) {
   constexpr u32 kIterations = 150;
   constexpr u32 kBodyLen = 160;
   static_assert(kIterations >= kFuzzMinIterations, "demotion must happen mid-run");
@@ -81,7 +81,7 @@ std::vector<u8> BuildProgram(u64 seed, u32 c) {
   return EncodeLoopedFuzzProgram(pseed, kIterations, kBodyLen,
                                  kCodeBase + c * kCodeStride,
                                  WindowBase(c) + 8, kDataSpan - 16,
-                                 /*esp_reset=*/kStackTop - c * kStackStride);
+                                 /*esp_reset=*/kStackTop - c * kStackStride, shape);
 }
 
 struct CpuResult {
@@ -338,44 +338,62 @@ void ExpectRunsEqual(const DiffRun& threaded, const DiffRun& oracle) {
       << "memory images diverged";
 }
 
+// One seed of the threaded-vs-interleaver differential at N = 2 and 4. Adds
+// the traces demoted inside threaded epochs to `threaded_demotions`.
+void ExpectThreadedMatchesInterleaver(u64 seed, const FuzzShape& shape,
+                                      u64* threaded_demotions) {
+  const bool hostile = (seed % 4) >= 2;
+  const u8 cpl = (seed % 2) ? 3 : 0;
+  // Scripted shootdown points: pseudo-random global cycles early enough to
+  // land inside the run.
+  std::vector<u64> shootdowns;
+  u64 st = seed * 0x9E3779B97F4A7C15ull + 23;
+  u64 t = 1'500;
+  for (int i = 0; i < 6; ++i) {
+    t += 500 + NextRand(&st) % 5'000;
+    shootdowns.push_back(t);
+  }
+  for (u32 n : {2u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + " n " + std::to_string(n) +
+                 (hostile ? " hostile" : " plain") + " cpl " + std::to_string(cpl) +
+               " shape " + FuzzShapeName(shape));
+    std::vector<std::vector<u8>> programs;
+    for (u32 c = 0; c < n; ++c) programs.push_back(BuildProgram(seed, c, shape));
+
+    DiffRun threaded = RunThreaded(programs, hostile, cpl, shootdowns);
+    for (u32 c = 0; c < n; ++c) {
+      EXPECT_GE(threaded.cpus[c].instructions, 1'000u)
+          << "vCPU " << c << " barely executed — fuzz not meaningful";
+    }
+    EXPECT_GE(threaded.samples.size(), 8u)
+        << "too few epoch barriers for the sample comparison to mean anything";
+
+    DiffRun oracle =
+        RunInterleavedAt(programs, hostile, cpl, shootdowns, threaded.samples);
+    ExpectRunsEqual(threaded, oracle);
+    for (const CpuResult& c : threaded.cpus) *threaded_demotions += c.trace_demotions;
+  }
+}
+
 TEST(ThreadedSmpDifferential, MatchesInterleaverOnDrfWorkloads) {
-  constexpr u32 kSeeds = 6;
   // Traces demoted inside threaded epochs, summed over seeds and vCPUs: the
   // engine switch happens mid-run on the worker threads too.
   u64 threaded_demotions = 0;
-  for (u64 seed = 1; seed <= kSeeds; ++seed) {
-    const bool hostile = (seed % 4) >= 2;
-    const u8 cpl = (seed % 2) ? 3 : 0;
-    // Scripted shootdown points: pseudo-random global cycles early enough to
-    // land inside the run.
-    std::vector<u64> shootdowns;
-    u64 st = seed * 0x9E3779B97F4A7C15ull + 23;
-    u64 t = 1'500;
-    for (int i = 0; i < 6; ++i) {
-      t += 500 + NextRand(&st) % 5'000;
-      shootdowns.push_back(t);
-    }
-    for (u32 n : {2u, 4u}) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + " n " + std::to_string(n) +
-                   (hostile ? " hostile" : " plain") + " cpl " + std::to_string(cpl));
-      std::vector<std::vector<u8>> programs;
-      for (u32 c = 0; c < n; ++c) programs.push_back(BuildProgram(seed, c));
-
-      DiffRun threaded = RunThreaded(programs, hostile, cpl, shootdowns);
-      for (u32 c = 0; c < n; ++c) {
-        EXPECT_GE(threaded.cpus[c].instructions, 1'000u)
-            << "vCPU " << c << " barely executed — fuzz not meaningful";
-      }
-      EXPECT_GE(threaded.samples.size(), 8u)
-          << "too few epoch barriers for the sample comparison to mean anything";
-
-      DiffRun oracle =
-          RunInterleavedAt(programs, hostile, cpl, shootdowns, threaded.samples);
-      ExpectRunsEqual(threaded, oracle);
-      for (const CpuResult& c : threaded.cpus) threaded_demotions += c.trace_demotions;
-    }
+  for (u64 seed = 1; seed <= 6; ++seed) {
+    ExpectThreadedMatchesInterleaver(seed, FuzzShape{}, &threaded_demotions);
   }
   EXPECT_GT(threaded_demotions, 0u) << "no trace was demoted in a threaded epoch";
+}
+
+// The jump-shape families (tests/fuzz_util.h), whose traces chain runs
+// through elided jumps and side exits, on the worker threads.
+TEST(ThreadedSmpDifferential, JumpShapesMatchInterleaver) {
+  u64 threaded_demotions = 0;
+  for (const FuzzShape& shape : kJumpShapes) {
+    for (u64 seed = 1; seed <= 3; ++seed) {
+      ExpectThreadedMatchesInterleaver(seed, shape, &threaded_demotions);
+    }
+  }
 }
 
 // Determinism of the threaded mode itself: two threaded runs of the same DRF

@@ -1,6 +1,8 @@
 // Hot-trace tier tests: promotion lifecycle (cold -> hot -> lowered ->
 // re-promoted after invalidation), admission by yield (low-yield traces are
-// demoted back to the block engine, self-looping ones are kept), the
+// demoted back to the block engine, self-looping ones are kept), traces
+// that chain several runs (side exits, frontier checks at internal run
+// heads, stores into a later run, entry through another EIP alias), the
 // invalidation edges the tier must get exactly right — a self-modifying
 // store executing *inside* the hot trace, and an SMP remote store retiring
 // the trace's page mid-loop — plus lazy-flags exactness at a fault boundary
@@ -11,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <optional>
 #include <string>
 
 #include "src/hw/bare_machine.h"
+#include "src/hw/paging.h"
 #include "src/hw/smp.h"
 #include "src/obs/trace.h"
 
@@ -38,10 +42,12 @@ struct TraceRunResult {
 
 // Assembles and runs `source` at kCodeBase with the trace tier on or off
 // (block engine always on — it is the tier's host) and returns final state.
-// A non-null `recorder` receives the CPU's engine events on track 0.
+// A non-null `recorder` receives the CPU's engine events on track 0;
+// `setup`, if given, runs on the loaded machine before it starts.
 TraceRunResult RunWithTrace(const std::string& source, bool trace,
                             u64 cycle_limit = 10'000'000,
-                            obs::FlightRecorder* recorder = nullptr) {
+                            obs::FlightRecorder* recorder = nullptr,
+                            const std::function<void(BareMachine&)>& setup = nullptr) {
   BareMachine bm;
   bm.cpu().set_block_engine_enabled(true);
   bm.cpu().set_trace_engine_enabled(trace);
@@ -52,6 +58,7 @@ TraceRunResult RunWithTrace(const std::string& source, bool trace,
   std::string diag;
   auto img = bm.LoadProgram(source, kCodeBase, &diag);
   EXPECT_TRUE(img.has_value()) << diag;
+  if (setup) setup(bm);
   bm.Start(*img->Lookup("main"), 0, kStackTop);
   TraceRunResult r;
   r.stop = bm.Run(cycle_limit);
@@ -156,10 +163,11 @@ loop:
 }
 
 // The web worker's checksum shape: a top-tested `cmp; je out` run and a
-// short `ld8 ... jmp top` run. Neither loops in place, so each trace call
-// retires 2 or 5 instructions, below the break-even yield. Both traces must
-// be demoted at the end of their probation, after which the block engine
-// runs them and the trace entry count stops growing.
+// `ld8 ... jmp top` run. The loop's trace covers both runs: the `jmp` back
+// to the head is elided and the `je` becomes a side exit, so the loop
+// iterates inside one trace call. The trace is lowered at the body's head
+// (the first iteration reaches `top` by falling through from `main`, so the
+// body heats up first) and loops on the head's not-taken edge.
 std::string TopTestedLoop(u32 iterations) {
   return R"(
   .global main
@@ -180,22 +188,260 @@ out:
 )";
 }
 
-TEST(TraceEngine, LowYieldTopTestedLoopIsDemoted) {
-  TraceRunResult on = RunWithTrace(TopTestedLoop(2000), /*trace=*/true);
+TEST(TraceEngine, TopTestedLoopIteratesInOneTrace) {
+  constexpr u32 kBodyEip = kCodeBase + 4 * kInsnSize;
+  constexpr u32 kInsnsPerIteration = 8;
+  obs::FlightRecorder rec;
+  TraceRunResult on = RunWithTrace(TopTestedLoop(2000), /*trace=*/true, 10'000'000, &rec);
   TraceRunResult off = RunWithTrace(TopTestedLoop(2000), /*trace=*/false);
   EXPECT_EQ(on.stop.reason, StopReason::kHalted);
   ExpectSameState(on, off);
-  EXPECT_EQ(on.trace.promotions, 2u) << "both runs must heat up and be lowered";
-  EXPECT_EQ(on.trace.demotions, 2u) << "both runs yield below break-even";
+  EXPECT_EQ(on.trace.promotions, 1u) << "one trace covers the whole loop";
+  EXPECT_EQ(on.trace.demotions, 0u) << "the loop trace must survive probation";
+  EXPECT_GT(on.trace.uop_insns, on.instructions / 2)
+      << "the loop must retire in its trace";
+  u32 compiles = 0;
+  for (const obs::Event& e : rec.Events(0)) {
+    EXPECT_NE(e.type, obs::EventType::kTraceDemote);
+    if (e.type != obs::EventType::kTraceCompile) continue;
+    ++compiles;
+    EXPECT_EQ(e.arg0, kBodyEip);
+    EXPECT_EQ(e.arg1, kInsnsPerIteration) << "arg1 counts instructions across both runs";
+  }
+  EXPECT_EQ(compiles, 1u);
+
+  // Four times the iterations: every extra iteration is one more in-place
+  // entry of the same trace, retiring all of its instructions there.
+  TraceRunResult longer = RunWithTrace(TopTestedLoop(8000), /*trace=*/true);
+  TraceRunResult longer_off = RunWithTrace(TopTestedLoop(8000), /*trace=*/false);
+  ExpectSameState(longer, longer_off);
+  EXPECT_EQ(longer.trace.demotions, 0u);
+  EXPECT_EQ(longer.trace.entries - on.trace.entries, 6000u);
+  EXPECT_EQ(longer.trace.uop_insns - on.trace.uop_insns, 6000u * kInsnsPerIteration);
+}
+
+// A loop that still loses: a call per iteration ends every chain, so each
+// trace call retires a handful of instructions (the callee's `add` before
+// its `ret`; the caller's `dec; cmp; jne` leaving through a side exit). Both
+// traces are demoted at the end of their probation, after which the block
+// engine runs them and the trace entry count stops growing.
+std::string CallPerIterationLoop(u32 iterations) {
+  return R"(
+  .global main
+main:
+  mov $)" + std::to_string(iterations) + R"(, %ecx
+top:
+  call step
+  dec %ecx
+  cmp $0, %ecx
+  jne top
+  hlt
+step:
+  add $1, %eax
+  ret
+)";
+}
+
+TEST(TraceEngine, LowYieldCallLoopIsDemoted) {
+  TraceRunResult on = RunWithTrace(CallPerIterationLoop(2000), /*trace=*/true);
+  TraceRunResult off = RunWithTrace(CallPerIterationLoop(2000), /*trace=*/false);
+  EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+  ExpectSameState(on, off);
+  EXPECT_EQ(on.trace.promotions, 2u) << "caller tail and callee must heat up and be lowered";
+  EXPECT_EQ(on.trace.demotions, 2u) << "both yield below break-even";
+  EXPECT_EQ(on.trace.side_exits, Cpu::kTraceProbation)
+      << "the caller's trace leaves through its jne side exit on every call";
   EXPECT_EQ(off.trace.demotions, 0u);
 
   // Four times the iterations, same trace work: after demotion the block
   // engine runs every further iteration.
-  TraceRunResult longer = RunWithTrace(TopTestedLoop(8000), /*trace=*/true);
+  TraceRunResult longer = RunWithTrace(CallPerIterationLoop(8000), /*trace=*/true);
   EXPECT_EQ(longer.trace.demotions, 2u);
   EXPECT_EQ(longer.trace.entries, on.trace.entries) << "entries kept growing after demotion";
   EXPECT_EQ(longer.trace.uop_insns, on.trace.uop_insns);
   EXPECT_LT(on.trace.uop_insns, on.instructions / 10);
+}
+
+// Side exits: a lazy-flags `test; je rare` taken every 16th iteration and a
+// fused `cmp; je bail` taken once, mid-loop, to leave for good. Each taken
+// side exit leaves the trace with exact state — EIP on the branch target,
+// the compare's EFLAGS materialized — and the loop re-enters its trace
+// after every `rare` detour.
+TEST(TraceEngine, SideExitTakenMidTrace) {
+  const std::string source = R"(
+  .global main
+main:
+  mov $3000, %ecx
+  jmp top
+top:
+  cmp $0, %ecx
+  je out
+  test $15, %ecx
+  je rare
+  add %ecx, %ebx
+  cmp $1234, %ecx
+  je bail
+  dec %ecx
+  jmp top
+rare:
+  add $7, %edx
+  dec %ecx
+  jmp top
+bail:
+  hlt
+out:
+  hlt
+)";
+  constexpr u32 kBailEip = kCodeBase + 14 * kInsnSize;
+  TraceRunResult on = RunWithTrace(source, /*trace=*/true);
+  TraceRunResult off = RunWithTrace(source, /*trace=*/false);
+  EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+  ExpectSameState(on, off);
+  EXPECT_EQ(on.ctx.eip, kBailEip + kInsnSize) << "the loop must leave through `je bail`";
+  EXPECT_EQ(on.ctx.regs[static_cast<u8>(Reg::kEcx)], 1234u);
+  // The `rare` detour's own trace (it chains back round the loop to its
+  // `je rare` terminator) leaves on the not-taken edge almost every call:
+  // it is the one demotion. The loop trace survives.
+  EXPECT_EQ(on.trace.demotions, 1u);
+  // ~110 `rare` detours, all but those before promotion taken from inside
+  // the loop trace, plus the final `je bail`.
+  EXPECT_GE(on.trace.side_exits, 64u);
+  EXPECT_GT(on.trace.uop_insns, on.instructions / 2);
+}
+
+// A cycle limit swept across two loop iterations, long after promotion.
+// Somewhere in the sweep the frontier lands on the body run's head inside
+// the trace: the trace must stop at that head exactly where the block
+// engine's run_start check would, so every stop — EIP, cycles, registers,
+// memory — equals the oracle's, and one of them stops right on the head.
+TEST(TraceEngine, CycleLimitOnInternalRunHead) {
+  constexpr u32 kBodyEip = kCodeBase + 4 * kInsnSize;
+  const std::string source = TopTestedLoop(2000);
+  // Cycles per iteration, and a point ~100 iterations into the loop.
+  const u64 per_iteration = (RunWithTrace(TopTestedLoop(300), false).cycles -
+                             RunWithTrace(TopTestedLoop(200), false).cycles) /
+                            100;
+  const u64 start = RunWithTrace(TopTestedLoop(100), false).cycles;
+  u32 stops_on_head = 0;
+  for (u64 limit = start; limit < start + 2 * per_iteration; ++limit) {
+    TraceRunResult on = RunWithTrace(source, /*trace=*/true, limit);
+    TraceRunResult off = RunWithTrace(source, /*trace=*/false, limit);
+    SCOPED_TRACE("cycle limit " + std::to_string(limit));
+    ASSERT_EQ(on.stop.reason, StopReason::kCycleLimit);
+    ExpectSameState(on, off);
+    EXPECT_GE(on.trace.promotions, 1u);
+    if (on.ctx.eip == kBodyEip) ++stops_on_head;
+  }
+  EXPECT_GE(stops_on_head, 1u) << "the sweep must hit the body run's head";
+}
+
+// A store in the trace's second run patches an instruction of that same run
+// mid-loop. The trace starts at the loop head (the loop is entered through
+// a jump, so the head heats up first) and reaches the body through the
+// head's side exit. The store must leave the trace right after itself
+// (one trace_invalidate event there), the patched increment must execute on
+// that very iteration, and the loop must heat up and be lowered again.
+TEST(TraceEngine, StoreIntoSecondRunMidLoop) {
+  // Slot 7 is `add $1, %ebx` (0x10070); its immediate is at +8.
+  const std::string source = R"(
+  .global main
+main:
+  mov $400, %ecx
+  mov $0x20000, %esi
+  mov $1, %edx
+  jmp top
+top:
+  cmp $0, %ecx
+  je out
+  st %edx, 0(%esi)
+  add $1, %ebx
+  dec %ecx
+  cmp $200, %ecx
+  je fix
+  cmp $199, %ecx
+  je unfix
+  jmp top
+out:
+  hlt
+fix:
+  mov $0x10078, %esi
+  mov $100, %edx
+  jmp top
+unfix:
+  mov $0x20000, %esi
+  jmp top
+)";
+  constexpr u32 kTopEip = kCodeBase + 4 * kInsnSize;
+  constexpr u32 kAddEip = kCodeBase + 7 * kInsnSize;
+  obs::FlightRecorder rec;
+  TraceRunResult on = RunWithTrace(source, /*trace=*/true, 10'000'000, &rec);
+  TraceRunResult off = RunWithTrace(source, /*trace=*/false);
+  EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+  ExpectSameState(on, off);
+  const u32 ebx = on.ctx.regs[static_cast<u8>(Reg::kEbx)];
+  // 200 iterations add 1; from the store's own iteration on, the patched
+  // `add $100` runs (the store leaves the imm patched).
+  EXPECT_EQ(ebx, 200u + 200u * 100u) << "the patch must execute on the store's iteration";
+  EXPECT_EQ(on.trace.promotions, 2u) << "lowered, killed by the store, lowered again";
+  std::vector<u32> compiled_at;
+  u32 invalidates = 0;
+  for (const obs::Event& e : rec.Events(0)) {
+    if (e.type == obs::EventType::kTraceCompile) compiled_at.push_back(e.arg0);
+    if (e.type != obs::EventType::kTraceInvalidate) continue;
+    ++invalidates;
+    EXPECT_EQ(e.arg0, kAddEip) << "the trace must exit right after the store";
+  }
+  EXPECT_EQ(invalidates, 1u);
+  ASSERT_FALSE(compiled_at.empty());
+  EXPECT_EQ(compiled_at[0], kTopEip) << "the store must sit in the first trace's second run";
+}
+
+// The same physical code page mapped at a second linear address. The loop
+// is lowered at its home EIP, where its `jmp mid` is elided; the second
+// pass enters the same trace through the alias. There the jump's target
+// (an absolute EIP back in the home mapping) is not the slot the trace
+// would continue at, so the call must stop at the end of its first run.
+// `call getip` records which mapping the loop's exit ran in.
+TEST(TraceEngine, CallEnteredAtAnotherEipAliasRunsFirstRunOnly) {
+  constexpr u32 kAlias = 0x300000;
+  auto slot = [](u32 s) { return std::to_string(kCodeBase + s * kInsnSize); };
+  const std::string source = R"(
+  .global main
+main:
+  mov $100, %ecx
+  mov $)" + slot(11) + R"(, %ebp
+top:
+  add $3, %ebx
+  jmp mid
+  hlt
+mid:
+  dec %ecx
+  cmp $0, %ecx
+  jne top
+  call getip
+getip:
+  pop %edx
+  jmp *%ebp
+  mov $1, %ecx
+  mov $)" + slot(15) + R"(, %ebp
+  mov $)" + std::to_string(kAlias + 2 * kInsnSize) + R"(, %eax
+  jmp *%eax
+  hlt
+)";
+  const auto map_alias = [](BareMachine& bm) {
+    PageTableEditor ed(bm.pm(), bm.cpu().cr3(),
+                       [&](u32 linear) { bm.cpu().tlb().FlushPage(linear); });
+    EXPECT_TRUE(ed.Map(kAlias, kCodeBase, kPtePresent | kPteWrite | kPteUser,
+                       [] { return 0u; }));
+  };
+  TraceRunResult on = RunWithTrace(source, /*trace=*/true, 10'000'000, nullptr, map_alias);
+  TraceRunResult off = RunWithTrace(source, /*trace=*/false, 10'000'000, nullptr, map_alias);
+  EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+  ExpectSameState(on, off);
+  EXPECT_EQ(on.ctx.eip, kCodeBase + 16 * kInsnSize);
+  EXPECT_EQ(on.ctx.regs[static_cast<u8>(Reg::kEdx)], kCodeBase + 9 * kInsnSize)
+      << "the alias pass must leave the loop in the home mapping";
+  EXPECT_GE(on.trace.entries, 85u) << "the home pass must have looped in its trace";
 }
 
 // A self-looping `jne` loop, called again and again from an outer loop the
@@ -249,34 +495,34 @@ inner:
 // admission decision with everything else: the runs heat up, are lowered
 // and are judged again, and the final state still equals the oracle's.
 TEST(TraceEngine, CodePageWriteResetsDemotion) {
-  // The store targets a data word past the code on the same page (0x10800).
+  // The call-per-iteration shape, whose traces lose. The store targets a
+  // data word past the code on the same page (0x10800).
   const std::string source = R"(
   .global main
 main:
   mov $600, %ecx
-  mov $0x20000, %esi
 top:
+  call step
+  dec %ecx
   cmp $300, %ecx
   je patch
   cmp $0, %ecx
-  je out
-  ld8 0(%esi), %eax
-  add %eax, %ebx
-  add $1, %esi
-  dec %ecx
-  jmp top
+  jne top
+  hlt
 patch:
   st %ecx, 0x10800
-  dec %ecx
   jmp top
-out:
-  hlt
+step:
+  add $1, %eax
+  ret
 )";
   TraceRunResult on = RunWithTrace(source, /*trace=*/true);
   TraceRunResult off = RunWithTrace(source, /*trace=*/false);
   EXPECT_EQ(on.stop.reason, StopReason::kHalted);
   ExpectSameState(on, off);
-  // Three runs (two top-tested compares and the body) per page build.
+  // Three runs per page build: the callee, the caller's tail and — once
+  // the tail's trace is demoted and the block engine reaches it — the
+  // tail's second run.
   EXPECT_EQ(on.trace.promotions, 6u) << "every run must re-heat after the rebuild";
   EXPECT_EQ(on.trace.demotions, 6u) << "and be judged again";
 }
