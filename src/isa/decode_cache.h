@@ -25,6 +25,15 @@
 // stores (self-modifying code), kernel copy-in, loaders, and frame zeroing
 // on reallocation. Linear-mapping changes (PTE edits, CR3 loads) are the
 // TLB's problem; the CPU revalidates its fetch TLB against Tlb::change_count.
+//
+// A page keeps the bytes it was decoded from. When a write retires it and
+// the next fetch asks for the same page — a stub that stores into a save
+// slot on its own code page does this on every call — the page is rebuilt
+// in place from that image: only the slots whose bytes changed are decoded
+// again, and only the runs that can reach them are relinked. The result is
+// the page a fresh build of the same bytes would give, field for field
+// (tests/decode_cache_test.cc checks this); a fresh build is the same
+// rebuild with every slot counted as changed.
 #ifndef SRC_ISA_DECODE_CACHE_H_
 #define SRC_ISA_DECODE_CACHE_H_
 
@@ -126,6 +135,7 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
   // between two boundary checks in the block engine and keeps the pre-summed
   // cost a tight bound.
   static constexpr u32 kMaxBlockInsns = 64;
+  static constexpr u32 kNoPfn = ~0u;
 
   struct Page {
     std::array<DecodedInsn, kSlotsPerPage> slots;
@@ -136,12 +146,20 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
     // a trace stays allocated until the next GetOrBuild, so a store that
     // retires the currently-executing trace cannot free it mid-run.
     std::vector<std::unique_ptr<Trace>> traces;
+    // The page number the slots were decoded for (kNoPfn once the cost
+    // annotations are stale: such a page is never rebuilt in place) and the
+    // bytes they were decoded from. Slots past the end of physical memory
+    // have no bytes here; they are bus errors for good.
+    u32 pfn = kNoPfn;
+    std::array<u8, kPageSize> image;
   };
 
   struct Stats {
-    u64 builds = 0;              // pages decoded
+    u64 builds = 0;              // pages decoded (a rebuilt retired page counts once)
     u64 write_invalidations = 0; // pages killed by a write to their bytes
     u64 evictions = 0;           // pages dropped by the capacity cap
+    u64 recycled = 0;            // builds that rebuilt a retired page in place
+    u64 slots_decoded = 0;       // slots run through Insn::Decode
   };
 
   // The cost table used to annotate decoded slots (the CPU's, rebuilt on
@@ -153,7 +171,9 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
   // building it on first use. The pointer stays valid until the *next* call
   // to GetOrBuild — invalidated pages are retired, not freed, so an
   // instruction that modifies its own page keeps a live decode of itself
-  // until the CPU fetches again. Non-const: the CPU's trace tier bumps
+  // until the CPU fetches again. That next call may rebuild a retired page
+  // in place and return the same address, so a holder must revalidate by
+  // generation(), never by pointer. Non-const: the CPU's trace tier bumps
   // per-slot hotness counters and attaches lowered traces in place.
   Page* GetOrBuild(const PhysicalMemory& pm, u32 frame);
 
@@ -174,7 +194,7 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
   void EvictFrame(u32 frame);
 
   // Retires every cached page (cost-model change: the per-slot cost
-  // annotations are stale).
+  // annotations are stale, so no retired page is rebuilt in place).
   void InvalidateAll();
 
   // Bumped whenever any cached page dies; consumers holding a Page* compare
@@ -198,10 +218,18 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
 
  private:
   void Retire(u32 pfn);
+  // Decodes every slot of `frame` whose bytes differ from page.image (every
+  // slot when `fresh`), relinks the runs that can reach a changed slot and
+  // clears the hot-trace state: afterwards `page` is what a fresh build of
+  // the frame's current bytes gives.
+  void Build(Page& page, const PhysicalMemory& pm, u32 frame, bool fresh);
+  // Recomputes run_len/run_cost_max of slots [lo, hi].
+  void Link(Page& page, u32 lo, u32 hi) const;
 
   const CycleModel::CostTable* costs_ = nullptr;
   std::unordered_map<u32, std::unique_ptr<Page>> pages_;  // keyed by pfn
-  std::vector<std::unique_ptr<Page>> retired_;  // freed on next GetOrBuild
+  // Freed on the next GetOrBuild, unless that call rebuilds one in place.
+  std::vector<std::unique_ptr<Page>> retired_;
   // Plain bytes on purpose: probed only by the owning vCPU's thread or
   // inside the quiesced barrier window (see WriteLane in physical_memory.h).
   std::vector<u8> has_code_;                    // pfn -> has a live entry

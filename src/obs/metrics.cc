@@ -31,6 +31,8 @@ void MetricsRegistry::CollectCpu(const Cpu& cpu, u32 index) {
   Counter(p + "decode.write_invalidations",
           cpu.decode_cache().stats().write_invalidations);
   Counter(p + "decode.evictions", cpu.decode_cache().stats().evictions);
+  Counter(p + "decode.recycled", cpu.decode_cache().stats().recycled);
+  Counter(p + "decode.slots_decoded", cpu.decode_cache().stats().slots_decoded);
   Counter(p + "decode.generation", cpu.decode_cache().generation());
   Counter(p + "block.entries", cpu.block_stats().entries);
   Counter(p + "block.insns", cpu.block_stats().insns);

@@ -238,6 +238,7 @@ struct DiffRun {
   u64 instructions = 0;
   u64 tlb_hits = 0;
   u64 tlb_misses = 0;
+  u64 decode_recycled = 0;
   std::vector<u8> memory;
 };
 
@@ -251,6 +252,10 @@ enum class FuzzMode : int { kPlainCpl0 = 0, kPlainCpl3, kHostileCpl3, kHostileCp
 
 std::vector<u8> EncodeFuzzProgram(u64 seed, u32 iterations, u32 body_len,
                                   const FuzzShape& shape) {
+  if (shape.data_in_code_page) {
+    return EncodeDataInCodePageProgram(seed, iterations, body_len, kCodeBase, kCodeBase,
+                                       /*esp_reset=*/0, shape);
+  }
   return EncodeLoopedFuzzProgram(seed, iterations, body_len, kCodeBase, kFuzzDataBase,
                                  kFuzzDataSpan, /*esp_reset=*/0, shape);
 }
@@ -292,13 +297,14 @@ DiffRun RunDifferential(const std::vector<u8>& program, FuzzMode mode, bool dtlb
   out.instructions = bm.cpu().instructions_retired();
   out.tlb_hits = bm.cpu().tlb_stats().hits;
   out.tlb_misses = bm.cpu().tlb_stats().misses;
+  out.decode_recycled = bm.cpu().decode_cache().stats().recycled;
   out.memory.assign(bm.pm().HostData(), bm.pm().HostData() + bm.pm().size());
   return out;
 }
 
 // One seed of the D-TLB differential: the program runs with the data fast
 // path on and off, and every architectural result must agree.
-void ExpectDtlbFuzzAgrees(u64 seed, const FuzzShape& shape) {
+void ExpectDtlbFuzzAgrees(u64 seed, const FuzzShape& shape, u64* recycled = nullptr) {
   constexpr u32 kIterations = 400;
   constexpr u32 kBodyLen = 224;  // > 10k executed instructions per seed
   static_assert(kIterations >= kFuzzMinIterations, "demotion must happen mid-run");
@@ -306,6 +312,7 @@ void ExpectDtlbFuzzAgrees(u64 seed, const FuzzShape& shape) {
   const std::vector<u8> program = EncodeFuzzProgram(seed, kIterations, kBodyLen, shape);
   DiffRun fast = RunDifferential(program, mode, /*dtlb=*/true);
   DiffRun slow = RunDifferential(program, mode, /*dtlb=*/false);
+  if (recycled != nullptr) *recycled += fast.decode_recycled + slow.decode_recycled;
 
   SCOPED_TRACE("seed " + std::to_string(seed) + " mode " +
                std::to_string(static_cast<int>(mode)) + " shape " + FuzzShapeName(shape));
@@ -345,6 +352,17 @@ TEST(DtlbDifferential, JumpShapesAgree) {
   for (const FuzzShape& shape : kJumpShapes) {
     for (u64 seed = 1; seed <= 16; ++seed) ExpectDtlbFuzzAgrees(seed, shape);
   }
+}
+
+// The DataInCodePage families: the window is the tail of the program's own
+// code page, so every store retires the executing page and the next fetch
+// rebuilds it in place.
+TEST(DtlbDifferential, DataInCodePageAgrees) {
+  u64 recycled = 0;
+  for (const FuzzShape& shape : kDataInCodePageShapes) {
+    for (u64 seed = 1; seed <= 12; ++seed) ExpectDtlbFuzzAgrees(seed, shape, &recycled);
+  }
+  EXPECT_GT(recycled, 10'000u) << "the stores barely rebuilt the code page";
 }
 
 // --- Async-interrupt differential fuzz ----------------------------------------
@@ -632,6 +650,18 @@ TEST(IrqDifferential, JumpShapesAgree) {
   EXPECT_GT(total_irqs, 60u) << "the interrupt fuzz barely interrupted anything";
 }
 
+// The DataInCodePage families under the same sixteen-mode cross.
+TEST(IrqDifferential, DataInCodePageAgrees) {
+  u64 total_irqs = 0;
+  std::map<std::string, u64> demotions;
+  for (const FuzzShape& shape : kDataInCodePageShapes) {
+    for (u64 seed = 1; seed <= 4; ++seed) {
+      ExpectIrqFuzzAgrees(seed, shape, &total_irqs, &demotions);
+    }
+  }
+  EXPECT_GT(total_irqs, 20u) << "the interrupt fuzz barely interrupted anything";
+}
+
 // --- SMP differential fuzz -----------------------------------------------------
 // N vCPUs share physical memory, the identity page tables and the fuzz data
 // window; the deterministic min-cycle interleaver (src/hw/smp.h) steps them
@@ -783,6 +813,15 @@ void ExpectSmpFuzzAgrees(u64 seed, const FuzzShape& shape,
       // Each vCPU gets its own random body, branch targets rebased to its
       // code window. (Shared program generator: tests/fuzz_util.h.)
       const u64 pseed = seed * 101 + c * 17 + 3;
+      if (shape.data_in_code_page) {
+        // Each vCPU's window is the tail of the next vCPU's code page, so a
+        // store retires a sibling's executing page through the write fan-out
+        // and the sibling rebuilds it in place (its own page at N = 1).
+        programs.push_back(EncodeDataInCodePageProgram(
+            pseed, kIterations, kBodyLen, kCodeBase + c * kSmpCodeStride,
+            kCodeBase + ((c + 1) % n) * kSmpCodeStride, /*esp_reset=*/0, shape));
+        continue;
+      }
       programs.push_back(EncodeLoopedFuzzProgram(pseed, kIterations, kBodyLen,
                                                  kCodeBase + c * kSmpCodeStride,
                                                  kFuzzDataBase, kFuzzDataSpan,
@@ -900,6 +939,14 @@ TEST(SmpDifferential, JumpShapesAgree) {
   std::map<std::string, u64> demotions;
   for (const FuzzShape& shape : kJumpShapes) {
     for (u64 seed = 1; seed <= 3; ++seed) ExpectSmpFuzzAgrees(seed, shape, &demotions);
+  }
+}
+
+// The DataInCodePage families under the same SMP cross.
+TEST(SmpDifferential, DataInCodePageAgrees) {
+  std::map<std::string, u64> demotions;
+  for (const FuzzShape& shape : kDataInCodePageShapes) {
+    for (u64 seed = 1; seed <= 2; ++seed) ExpectSmpFuzzAgrees(seed, shape, &demotions);
   }
 }
 

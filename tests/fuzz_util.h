@@ -49,6 +49,12 @@ struct FuzzShape {
   // A top-tested loop, `cmp ecx,0; je out` ... `dec ecx; jmp head`, instead
   // of the bottom-tested `dec; cmp; jne` (side exit + elided jump).
   bool top_tested = false;
+  // The DataInCodePage family: the data window sits in the unused tail of
+  // a code page (EncodeDataInCodePageProgram), so every store retires — and
+  // the next fetch rebuilds in place — a page a program is executing. The
+  // program bytes are those of the same shape without the flag; only the
+  // window moves.
+  bool data_in_code_page = false;
 };
 
 // The jump-shape families every differential runs besides the base one.
@@ -58,9 +64,16 @@ inline constexpr FuzzShape kJumpShapes[] = {
     {/*forward_jumps=*/true, /*top_tested=*/true},
 };
 
+// The DataInCodePage families every differential runs.
+inline constexpr FuzzShape kDataInCodePageShapes[] = {
+    {/*forward_jumps=*/false, /*top_tested=*/false, /*data_in_code_page=*/true},
+    {/*forward_jumps=*/true, /*top_tested=*/true, /*data_in_code_page=*/true},
+};
+
 inline std::string FuzzShapeName(const FuzzShape& shape) {
   return std::string(shape.forward_jumps ? "jumps" : "nojumps") +
-         (shape.top_tested ? "/top-tested" : "/bottom-tested");
+         (shape.top_tested ? "/top-tested" : "/bottom-tested") +
+         (shape.data_in_code_page ? "/data-in-code" : "");
 }
 
 // Pseudo-random straight-line body of `body_len` instruction slots based at
@@ -328,6 +341,27 @@ inline std::vector<u8> EncodeLoopedFuzzProgram(u64 seed, u32 iterations, u32 bod
     program[i].EncodeTo(bytes.data() + i * kInsnSize);
   }
   return bytes;
+}
+
+// A DataInCodePage program for `code_base`: the looped fuzz program whose
+// data window is the unused tail of the code page at `window_page` — the
+// program's own page, or a sibling's that holds a program of the same shape
+// and length. Programs of one (body_len, esp_reset, shape) have one length,
+// so the window never overlaps code.
+inline std::vector<u8> EncodeDataInCodePageProgram(u64 seed, u32 iterations, u32 body_len,
+                                                   u32 code_base, u32 window_page,
+                                                   u32 esp_reset, const FuzzShape& shape) {
+  // The window does not change the program's length: measure it first.
+  const u32 bytes = static_cast<u32>(EncodeLoopedFuzzProgram(seed, iterations, body_len,
+                                                              code_base, window_page,
+                                                              kPageSize, esp_reset, shape)
+                                         .size());
+  // The builder's accesses reach 8 bytes below the window base and 2 past
+  // its end (see the threaded differential's WindowBase): keep both margins
+  // inside the tail.
+  const u32 tail = window_page + bytes;
+  return EncodeLoopedFuzzProgram(seed, iterations, body_len, code_base, tail + 8,
+                                 window_page + kPageSize - tail - 16, esp_reset, shape);
 }
 
 }  // namespace palladium

@@ -221,7 +221,8 @@ TEST(MetricsRegistry, SnapshotCoversEverySubsystem) {
   // One spot check per federated subsystem; the naming scheme is
   // <subsystem>[<index>].<group>.<counter> (see README "Observability").
   for (const char* key :
-       {"cpu0.cycles", "cpu1.tlb.misses", "sched.idle_cycles",
+       {"cpu0.cycles", "cpu1.tlb.misses", "cpu0.decode.recycled",
+        "cpu1.decode.slots_decoded", "sched.idle_cycles",
         "sched.cpu0.context_switches", "nic.rx_frames", "nic.q0.rx_frames",
         "dataplane.delivered", "dataplane.flow_upgrades",
         "kernel.smp.shootdown_ipis", "obs.profile.user", "obs.profile.total_cycles",

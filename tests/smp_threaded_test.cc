@@ -78,6 +78,13 @@ std::vector<u8> BuildProgram(u64 seed, u32 c, const FuzzShape& shape = FuzzShape
   constexpr u32 kBodyLen = 160;
   static_assert(kIterations >= kFuzzMinIterations, "demotion must happen mid-run");
   const u64 pseed = seed * 131 + c * 29 + 7;
+  if (shape.data_in_code_page) {
+    // The window is the tail of the vCPU's own code page: data-race-free,
+    // and every store retires the page the vCPU's own thread rebuilds.
+    return EncodeDataInCodePageProgram(pseed, kIterations, kBodyLen, kCodeBase + c * kCodeStride,
+                                       kCodeBase + c * kCodeStride,
+                                       /*esp_reset=*/kStackTop - c * kStackStride, shape);
+  }
   return EncodeLoopedFuzzProgram(pseed, kIterations, kBodyLen,
                                  kCodeBase + c * kCodeStride,
                                  WindowBase(c) + 8, kDataSpan - 16,
@@ -390,6 +397,18 @@ TEST(ThreadedSmpDifferential, MatchesInterleaverOnDrfWorkloads) {
 TEST(ThreadedSmpDifferential, JumpShapesMatchInterleaver) {
   u64 threaded_demotions = 0;
   for (const FuzzShape& shape : kJumpShapes) {
+    for (u64 seed = 1; seed <= 3; ++seed) {
+      ExpectThreadedMatchesInterleaver(seed, shape, &threaded_demotions);
+    }
+  }
+}
+
+// The DataInCodePage families: each vCPU stores into the tail of its own
+// code page, so its cache retires and rebuilds the executing page inside
+// threaded epochs, while the siblings see the writes in the barrier window.
+TEST(ThreadedSmpDifferential, DataInCodePageMatchesInterleaver) {
+  u64 threaded_demotions = 0;
+  for (const FuzzShape& shape : kDataInCodePageShapes) {
     for (u64 seed = 1; seed <= 3; ++seed) {
       ExpectThreadedMatchesInterleaver(seed, shape, &threaded_demotions);
     }
