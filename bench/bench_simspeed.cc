@@ -19,6 +19,10 @@
 // `BM_TopLoop_{trace,block,insn}` run the web worker's top-tested checksum
 // loop, the shape whose trace chains runs (no oracle row: its rate is the
 // ALU/MEM rows' oracle rate).
+// `BM_SelfPageStore_{trace,block,insn}` run the shape of a protected call's
+// prepare stub: a loop that stores into a data word on its own code page,
+// so every iteration retires the decoded page it runs on and the next fetch
+// rebuilds it in place (no oracle row: the oracle has no decoded pages).
 // Architectural results are identical across engines — only the wall-clock
 // rate moves.
 // The SMP rows (`BM_Smp{Alu,Mem}_nN_{interleaved,threaded}`) measure the
@@ -139,6 +143,27 @@ csum:
   dec %ecx
   jmp csum
 send:
+  hlt
+)";
+
+// The prepare-stub shape: save slots in slot 0 of the code page, code from
+// +64, two stores into them per iteration (ESP and a changing counter).
+constexpr const char* kSelfPageStoreWorkload = R"(
+  .global main
+save:
+  .space 64
+main:
+  mov $1000, %ecx
+  mov $save, %ebx
+loop:
+  st %esp, 0(%ebx)
+  st %ecx, 4(%ebx)
+  add $3, %eax
+  xor $5, %eax
+  add %ecx, %eax
+  dec %ecx
+  cmp $0, %ecx
+  jne loop
   hlt
 )";
 
@@ -356,6 +381,11 @@ void RegisterSimBenches(const std::string& engine_filter) {
           (std::string("BM_TopLoop_") + spec.name).c_str(),
           [engine = spec.engine](benchmark::State& st) {
             RunThroughput(st, kTopLoopWorkload, engine);
+          });
+      benchmark::RegisterBenchmark(
+          (std::string("BM_SelfPageStore_") + spec.name).c_str(),
+          [engine = spec.engine](benchmark::State& st) {
+            RunThroughput(st, kSelfPageStoreWorkload, engine);
           });
     }
   }

@@ -1311,10 +1311,10 @@ __attribute__((flatten)) bool Cpu::StepOne(StopInfo* stop) {
 // points at which the per-instruction path translates, which is what keeps
 // TLB statistics and cycle counts byte-identical between the two engines.
 //
-// RunBlock and ExecTrace are aligned to a cache line: their indirect
-// dispatch is sensitive to where the linker happens to place them, and an
-// unrelated change elsewhere in the library moved ExecTrace from 0 to 16
-// mod 64 and cost `ext-compute` about 15% of its host rate.
+// RunBlock and ExecTrace are aligned to a cache line so that their indirect
+// dispatch does not depend on where the linker places them: with ExecTrace
+// at 16 mod 64 instead of 0, `ext-compute` ran about 15% slower (4-core
+// x86-64 VM, RelWithDebInfo).
 __attribute__((flatten, aligned(64))) Cpu::BlockExit Cpu::RunBlock(u64 cycle_limit,
                                                                   StopInfo* stop) {
   static const void* const kLabels[kNumDispatch] = {
@@ -1616,8 +1616,8 @@ inline void RepinFromDtlb(TracePin& p, DTlb& dtlb, u64 tlb_change, u32 linear) {
 //    the same instruction boundary in every engine.
 // Aligned to a cache line, as RunBlock is (see there).
 __attribute__((aligned(64))) Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t,
-                                                       u64 gen0, u64 until,
-                                                       u32 run_cost_max, StopInfo* stop) {
+                                                           u64 gen0, u64 until,
+                                                           u32 run_cost_max, StopInfo* stop) {
   using ES = ExecStatus;
   using ExecFn = ES (*)(Cpu&, const DecodedInsn&, ExecCtx&);
   static const ExecFn kExecFns[kNumOpcodes] = {

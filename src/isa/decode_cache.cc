@@ -109,16 +109,12 @@ void DecodeCache::Build(Page& page, const PhysicalMemory& pm, u32 frame, bool fr
       const u8* now = pm.HostData() + phys;
       if (!fresh && std::memcmp(seen, now, kInsnSize) == 0) continue;
       std::memcpy(seen, now, kInsnSize);
-      d = DecodedInsn{};
+      d = DecodedInsn{};  // undecodable unless the bytes decode
       ++stats_.slots_decoded;
-      auto decoded = Insn::Decode(seen);
-      if (decoded) {
+      if (auto decoded = Insn::Decode(seen)) {
         d.state = DecodedInsn::State::kDecoded;
         d.insn = *decoded;
         FillExecInfo(d, *costs_);
-      } else {
-        d.state = DecodedInsn::State::kUndecodable;
-        d.dispatch = kDispatchUndecodable;
       }
     }
     first = std::min(first, slot);

@@ -304,6 +304,8 @@ struct CacheRig {
     pm.AddWriteObserver(&cache);
   }
   ~CacheRig() { pm.RemoveWriteObserver(&cache); }
+  CacheRig(const CacheRig&) = delete;  // pm holds &cache
+  CacheRig& operator=(const CacheRig&) = delete;
 
   void Put(u32 addr, const Insn& insn) {
     u8 raw[kInsnSize];
