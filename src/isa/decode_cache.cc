@@ -95,7 +95,11 @@ DecodeCache::Page* DecodeCache::GetOrBuild(const PhysicalMemory& pm, u32 frame) 
 void DecodeCache::Build(Page& page, const PhysicalMemory& pm, u32 frame, bool fresh) {
   u32 first = kSlotsPerPage;
   u32 last = 0;
-  for (u32 slot = 0; slot < kSlotsPerPage; ++slot) {
+  // Most rebuilds in place find nothing changed: a stub saving a register
+  // that holds the value it saved last time.
+  const bool unchanged = !fresh && pm.Contains(frame, kPageSize) &&
+                         std::memcmp(page.image.data(), pm.HostData() + frame, kPageSize) == 0;
+  for (u32 slot = unchanged ? kSlotsPerPage : 0; slot < kSlotsPerPage; ++slot) {
     DecodedInsn& d = page.slots[slot];
     const u32 phys = frame + slot * kInsnSize;
     if (!pm.Contains(phys, kInsnSize)) {
