@@ -356,8 +356,8 @@ inline std::vector<u8> EncodeDataInCodePageProgram(u64 seed, u32 iterations, u32
                                                               code_base, window_page,
                                                               kPageSize, esp_reset, shape)
                                          .size());
-  // The builder's accesses reach 8 bytes below the window base and 2 past
-  // its end (see the threaded differential's WindowBase): keep both margins
+  // Generated accesses reach 8 bytes below the window base and 2 past its
+  // end (see the threaded differential's WindowBase): keep both margins
   // inside the tail.
   const u32 tail = window_page + bytes;
   return EncodeLoopedFuzzProgram(seed, iterations, body_len, code_base, tail + 8,
