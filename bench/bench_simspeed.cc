@@ -23,6 +23,10 @@
 // prepare stub: a loop that stores into a data word on its own code page,
 // so every iteration retires the decoded page it runs on and the next fetch
 // rebuilds it in place (no oracle row: the oracle has no decoded pages).
+// `BM_ByteChecksum_{trace,block,insn}` run the ext-compute extension's
+// checksum (perfbench/src/ext.cc): eight `ld8; add; add` triples per
+// iteration of an unrolled loop, then a byte-at-a-time tail (no oracle row,
+// as for BM_TopLoop).
 // Architectural results are identical across engines — only the wall-clock
 // rate moves.
 // The SMP rows (`BM_Smp{Alu,Mem}_nN_{interleaved,threaded}`) measure the
@@ -164,6 +168,60 @@ loop:
   dec %ecx
   cmp $0, %ecx
   jne loop
+  hlt
+)";
+
+// The ext-compute extension's checksum loop, byte for byte (less the call
+// frame), over a 4003-byte buffer: 500 passes of the unrolled loop, then
+// three of the tail.
+constexpr const char* kByteChecksumWorkload = R"(
+  .global main
+main:
+  mov $0x20000, %esi
+  mov $4003, %ecx
+  mov $0, %eax
+  mov $0, %edx
+oct:
+  ld8 0(%esi), %edi
+  add %edi, %eax
+  add %eax, %edx
+  ld8 1(%esi), %edi
+  add %edi, %eax
+  add %eax, %edx
+  ld8 2(%esi), %edi
+  add %edi, %eax
+  add %eax, %edx
+  ld8 3(%esi), %edi
+  add %edi, %eax
+  add %eax, %edx
+  ld8 4(%esi), %edi
+  add %edi, %eax
+  add %eax, %edx
+  ld8 5(%esi), %edi
+  add %edi, %eax
+  add %eax, %edx
+  ld8 6(%esi), %edi
+  add %edi, %eax
+  add %eax, %edx
+  ld8 7(%esi), %edi
+  add %edi, %eax
+  add %eax, %edx
+  add $8, %esi
+  sub $8, %ecx
+  cmp $8, %ecx
+  jae oct
+tail:
+  cmp $0, %ecx
+  je done
+  ld8 0(%esi), %edi
+  add %edi, %eax
+  add %eax, %edx
+  inc %esi
+  dec %ecx
+  jmp tail
+done:
+  shl $16, %edx
+  xor %edx, %eax
   hlt
 )";
 
@@ -386,6 +444,11 @@ void RegisterSimBenches(const std::string& engine_filter) {
           (std::string("BM_SelfPageStore_") + spec.name).c_str(),
           [engine = spec.engine](benchmark::State& st) {
             RunThroughput(st, kSelfPageStoreWorkload, engine);
+          });
+      benchmark::RegisterBenchmark(
+          (std::string("BM_ByteChecksum_") + spec.name).c_str(),
+          [engine = spec.engine](benchmark::State& st) {
+            RunThroughput(st, kByteChecksumWorkload, engine);
           });
     }
   }

@@ -1625,18 +1625,30 @@ __attribute__((aligned(64))) Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* pa
       PALLADIUM_FOR_EACH_OPCODE(PALLADIUM_X)
 #undef PALLADIUM_X
   };
-  // Threaded dispatch, one label per UopKind — the same technique as
-  // RunBlock's opcode labels. Order must match the UopKind enum exactly.
-  static const void* const kUopLabels[] = {
-      &&u_nop,  &&u_movrr, &&u_movri, &&u_lea,  &&u_add, &&u_sub, &&u_cmp,
-      &&u_and,  &&u_test,  &&u_or,    &&u_xor,  &&u_shl, &&u_shr, &&u_sar,
-      &&u_imul, &&u_neg,   &&u_not,   &&u_inc,  &&u_dec, &&u_fold,
-      &&u_load, &&u_store, &&u_storei, &&u_exec, &&u_jcc, &&u_cmpjcc,
-      &&u_side_jcc, &&u_side_cmpjcc, &&u_head,
-  };
-  static_assert(sizeof(kUopLabels) / sizeof(kUopLabels[0]) ==
-                    static_cast<size_t>(UopKind::kHead) + 1,
-                "kUopLabels must cover every UopKind");
+  // Threaded dispatch — the same technique as RunBlock's opcode labels —
+  // with the handlers generated from PALLADIUM_FOR_EACH_UOP below. Indexed
+  // [kind][b_imm][record]: a plain kind has one handler, a register-ALU kind
+  // one per operand form and `record` (the form a kind does not have repeats
+  // the one it does). A compare that records nothing writes nothing, so it
+  // threads to the nop.
+#define PALLADIUM_ALU_LABELS_RR_RI(k) \
+  {{&&u_##k##_rr, &&u_##k##_rr_rec}, {&&u_##k##_ri, &&u_##k##_ri_rec}}
+#define PALLADIUM_ALU_LABELS_CMP(k) \
+  {{&&u_kNop, &&u_##k##_rr_rec}, {&&u_kNop, &&u_##k##_ri_rec}}
+#define PALLADIUM_ALU_LABELS_RI(k) \
+  {{&&u_##k##_ri, &&u_##k##_ri_rec}, {&&u_##k##_ri, &&u_##k##_ri_rec}}
+#define PALLADIUM_ALU_LABELS_R(k) \
+  {{&&u_##k##_r, &&u_##k##_r_rec}, {&&u_##k##_r, &&u_##k##_r_rec}}
+#define PALLADIUM_PLAIN(kind) {{&&u_##kind, &&u_##kind}, {&&u_##kind, &&u_##kind}},
+#define PALLADIUM_ALU(kind, forms, ...) PALLADIUM_ALU_LABELS_##forms(kind),
+  static const void* const kUopLabels[][2][2] = {
+      PALLADIUM_FOR_EACH_UOP(PALLADIUM_PLAIN, PALLADIUM_ALU)};
+#undef PALLADIUM_PLAIN
+#undef PALLADIUM_ALU
+#undef PALLADIUM_ALU_LABELS_RR_RI
+#undef PALLADIUM_ALU_LABELS_CMP
+#undef PALLADIUM_ALU_LABELS_RI
+#undef PALLADIUM_ALU_LABELS_R
 
   FlagsCache fc;  // Op::kEager — eflags_ is architecturally current at entry
   Fault fault;
@@ -1737,13 +1749,13 @@ __attribute__((aligned(64))) Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* pa
   Uop* const uend = ubegin + t.uops.size();
   if (__builtin_expect(!t.threaded, 0)) {
     for (Uop* x = ubegin; x != uend; ++x) {
-      const void* tgt = kUopLabels[static_cast<u8>(x->kind)];
+      const void* tgt = kUopLabels[static_cast<u8>(x->kind)][x->b_imm][x->record];
       // 4-byte memory uops — the dominant case: every push/pop and almost
       // every mov — and byte loads (a checksum's per-byte read) get
       // switch-free specializations; push/pop variants fold their fixed ESP
       // adjustment into the label itself. The generic labels stay the
       // fallback for the other sizes, and a specialized label that misses
-      // its fast-path guard re-dispatches to its generic one.
+      // its fast-path guard continues in its generic one.
       if (x->size == 1 && x->kind == UopKind::kLoad) {
         tgt = &&u_load1;  // no 1-byte pop exists, so never an ESP move
       } else if (x->size == 4) {
@@ -1767,7 +1779,7 @@ __attribute__((aligned(64))) Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* pa
   // bound (clamped so `until < run_cost_max` can never loop). Only the
   // generation re-check stays live per iteration — it is the invalidation
   // fence and must read fresh state.
-  const Uop* const ulast = uend - 1;
+  const Uop* const ulast = uend - 2;  // the last real uop: uend[-1] is kEnd
   const bool final_jcc = ulast->kind == UopKind::kJcc || ulast->kind == UopKind::kCmpJcc;
   const bool loop_to_entry = final_jcc && static_cast<u32>(ulast->imm) == entry_eip;
   // A trace entered in the middle of its loop (the chain went round through
@@ -1775,27 +1787,28 @@ __attribute__((aligned(64))) Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* pa
   const bool fall_to_entry = final_jcc && u32{ulast->slot} + ulast->span == t.entry_slot;
   const u64 loop_until = until > run_cost_max ? until - run_cost_max : 0;
   Uop* u = ubegin;
-  u32 sval = 0;  // store value, set by u_store/u_storei for store_common
+  u32 sval = 0;  // store value, set by the store handlers for store_common
   goto *u->target;  // bodies are never empty
 
-#define PALLADIUM_UOP_NEXT()         \
-  do {                                 \
-    if (++u == uend) goto body_done;   \
-    goto *u->target;                   \
+  // The kEnd marker ends every body, so the next uop always exists.
+#define PALLADIUM_UOP_NEXT() \
+  do {                       \
+    ++u;                     \
+    goto *u->target;         \
   } while (0)
 
-u_nop:
+u_kNop:
   PALLADIUM_UOP_NEXT();
 
-u_movrr:
+u_kMovRR:
   regs_[u->r1] = regs_[u->r2];
   PALLADIUM_UOP_NEXT();
 
-u_movri:
+u_kMovRI:
   regs_[u->r1] = static_cast<u32>(u->imm);
   PALLADIUM_UOP_NEXT();
 
-u_lea: {
+u_kLea: {
   u32 a = static_cast<u32>(u->disp);
   if (u->r2 != kNoBaseReg) a += regs_[u->r2];
   if (u->scale != 0) a += regs_[u->r3] * u->scale;
@@ -1803,135 +1816,46 @@ u_lea: {
   PALLADIUM_UOP_NEXT();
 }
 
-u_add: {
-  const u32 a = regs_[u->r1];
-  const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
-  regs_[u->r1] = a + b;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kAdd, a, b};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_sub: {
-  const u32 a = regs_[u->r1];
-  const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
-  regs_[u->r1] = a - b;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kSub, a, b};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_cmp:
-  if (u->record) {
-    fc = FlagsCache{FlagsCache::Op::kSub, regs_[u->r1],
-                    u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2]};
-  }
-  PALLADIUM_UOP_NEXT();
-
-u_and: {
-  const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
-  const u32 r = regs_[u->r1] & b;
-  regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_test:
-  if (u->record) {
-    const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
-    fc = FlagsCache{FlagsCache::Op::kLogic, regs_[u->r1] & b, 0};
-  }
-  PALLADIUM_UOP_NEXT();
-
-u_or: {
-  const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
-  const u32 r = regs_[u->r1] | b;
-  regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_xor: {
-  const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
-  const u32 r = regs_[u->r1] ^ b;
-  regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_shl: {
-  const u32 r = regs_[u->r1] << (static_cast<u32>(u->imm) & 31);
-  regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_shr: {
-  const u32 r = regs_[u->r1] >> (static_cast<u32>(u->imm) & 31);
-  regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_sar: {
-  const u32 r =
-      static_cast<u32>(static_cast<i32>(regs_[u->r1]) >> (static_cast<u32>(u->imm) & 31));
-  regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_imul: {
-  const i64 a = static_cast<i32>(regs_[u->r1]);
-  const i64 b = u->b_imm ? static_cast<i64>(u->imm)
-                         : static_cast<i64>(static_cast<i32>(regs_[u->r2]));
-  const i64 r = a * b;
-  regs_[u->r1] = static_cast<u32>(r);
-  if (u->record) {
-    fc = FlagsCache{FlagsCache::Op::kImul, static_cast<u32>(r),
-                    r != static_cast<i32>(r) ? 1u : 0u};
-  }
-  PALLADIUM_UOP_NEXT();
-}
-
-u_neg: {
-  const u32 a = regs_[u->r1];
-  regs_[u->r1] = 0 - a;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kNeg, a, 0};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_not:
+u_kNot:
   regs_[u->r1] = ~regs_[u->r1];
   PALLADIUM_UOP_NEXT();
 
-u_inc: {
-  const u32 a = regs_[u->r1];
-  regs_[u->r1] = a + 1;
-  // Capture the carried CF from the previous producer *before* overwriting
-  // the cache — INC preserves CF.
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kInc, a, LazyCf(fc, eflags_) ? 1u : 0u};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_dec: {
-  const u32 a = regs_[u->r1];
-  regs_[u->r1] = a - 1;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kDec, a, LazyCf(fc, eflags_) ? 1u : 0u};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_fold: {
-  const u32 a = regs_[u->r1];
-  regs_[u->r1] = a + static_cast<u32>(u->imm);
-  // Flags as-if the chain's last op alone executed on the true intermediate
-  // value (a + the pre-last delta).
-  if (u->record) {
-    fc = FlagsCache{u->fold_last_is_sub ? FlagsCache::Op::kSub : FlagsCache::Op::kAdd,
-                    a + static_cast<u32>(u->imm2), static_cast<u32>(u->disp)};
+// The register-ALU handlers, two per operand form (recording or not), from
+// each op's one line in PALLADIUM_FOR_EACH_UOP.
+#define PALLADIUM_ALU_HANDLER(label, b_expr, write, rec, result, ...) \
+  label : {                                                           \
+    [[maybe_unused]] const u32 a = regs_[u->r1];                      \
+    [[maybe_unused]] const u32 b = b_expr;                            \
+    [[maybe_unused]] const u32 r = result;                            \
+    if constexpr (write) regs_[u->r1] = r;                            \
+    if constexpr (rec) fc = FlagsCache{__VA_ARGS__};                  \
+    PALLADIUM_UOP_NEXT();                                             \
   }
-  PALLADIUM_UOP_NEXT();
-}
+#define PALLADIUM_ALU_FORM(kind, form, b_expr, ...)                            \
+  PALLADIUM_ALU_HANDLER(u_##kind##_##form, b_expr, true, false, __VA_ARGS__) \
+  PALLADIUM_ALU_HANDLER(u_##kind##_##form##_rec, b_expr, true, true, __VA_ARGS__)
+#define PALLADIUM_ALU_HANDLERS_RR_RI(kind, ...)               \
+  PALLADIUM_ALU_FORM(kind, rr, regs_[u->r2], __VA_ARGS__) \
+  PALLADIUM_ALU_FORM(kind, ri, static_cast<u32>(u->imm), __VA_ARGS__)
+#define PALLADIUM_ALU_HANDLERS_CMP(kind, ...)                                          \
+  PALLADIUM_ALU_HANDLER(u_##kind##_rr_rec, regs_[u->r2], false, true, __VA_ARGS__) \
+  PALLADIUM_ALU_HANDLER(u_##kind##_ri_rec, static_cast<u32>(u->imm), false, true, __VA_ARGS__)
+#define PALLADIUM_ALU_HANDLERS_RI(kind, ...) \
+  PALLADIUM_ALU_FORM(kind, ri, static_cast<u32>(u->imm), __VA_ARGS__)
+#define PALLADIUM_ALU_HANDLERS_R(kind, ...) PALLADIUM_ALU_FORM(kind, r, 0u, __VA_ARGS__)
+#define PALLADIUM_PLAIN(kind)
+#define PALLADIUM_ALU(kind, forms, ...) PALLADIUM_ALU_HANDLERS_##forms(kind, __VA_ARGS__)
+  PALLADIUM_FOR_EACH_UOP(PALLADIUM_PLAIN, PALLADIUM_ALU)
+#undef PALLADIUM_PLAIN
+#undef PALLADIUM_ALU
+#undef PALLADIUM_ALU_HANDLERS_RR_RI
+#undef PALLADIUM_ALU_HANDLERS_CMP
+#undef PALLADIUM_ALU_HANDLERS_RI
+#undef PALLADIUM_ALU_HANDLERS_R
+#undef PALLADIUM_ALU_FORM
+#undef PALLADIUM_ALU_HANDLER
 
-u_load: {
+u_kLoad: {
   u32 off = static_cast<u32>(u->disp);
   if (u->r2 != kNoBaseReg) off += regs_[u->r2];
   if (u->scale != 0) off += regs_[u->r3] * u->scale;
@@ -2021,7 +1945,7 @@ u_load4: {  // kLoad, size 4, no ESP adjustment — the common mov-load
     regs_[u->r1] = value;
     PALLADIUM_UOP_NEXT();
   }
-  goto u_load;  // window or pin miss: the generic path faults / refills exactly
+  goto u_kLoad;  // window or pin miss: the generic path faults / refills exactly
 }
 
 u_load1: {  // kLoad, size 1 — byte loads (ld8), e.g. a checksum's per-byte read
@@ -2042,7 +1966,7 @@ u_load1: {  // kLoad, size 1 — byte loads (ld8), e.g. a checksum's per-byte re
     regs_[u->r1] = p.host[linear & kPageMask];
     PALLADIUM_UOP_NEXT();
   }
-  goto u_load;
+  goto u_kLoad;
 }
 
 u_pop4: {  // kLoad, size 4, ESP += 4 after the access
@@ -2065,7 +1989,7 @@ u_pop4: {  // kLoad, size 4, ESP += 4 after the access
     regs_[u->r1] = value;
     PALLADIUM_UOP_NEXT();
   }
-  goto u_load;
+  goto u_kLoad;
 }
 
 u_push4:
@@ -2103,7 +2027,7 @@ store4_push: {  // kStore/kStoreI, size 4, ESP -= 4 after the access
     }
     PALLADIUM_UOP_NEXT();
   }
-  goto *kUopLabels[static_cast<u8>(u->kind)];  // generic kStore / kStoreI
+  goto store_common;  // window or pin miss, with sval already set
 }
 
 u_store4:
@@ -2142,13 +2066,13 @@ store4_plain: {  // kStore/kStoreI, size 4, no ESP adjustment
     }
     PALLADIUM_UOP_NEXT();
   }
-  goto *kUopLabels[static_cast<u8>(u->kind)];  // generic kStore / kStoreI
+  goto store_common;  // window or pin miss, with sval already set
 }
 
-u_store:
+u_kStore:
   sval = regs_[u->r1];
   goto store_common;
-u_storei:
+u_kStoreI:
   sval = static_cast<u32>(u->imm);
 store_common: {
   u32 off = static_cast<u32>(u->disp);
@@ -2224,7 +2148,7 @@ store_common: {
   }
 }
 
-u_exec: {
+u_kExec: {
   // Segment moves, udiv: the shared per-opcode core. None of these write
   // flags or read EIP, so the lazy cache and the batched EIP stay coherent
   // across them.
@@ -2243,7 +2167,7 @@ u_exec: {
   PALLADIUM_UOP_NEXT();
 }
 
-u_jcc: {
+u_kJcc: {
   // The trace's conditional terminator, evaluated against the lazy cache one
   // flag at a time. When its edge leads straight back to this trace's own
   // entry — taken for the hot-loop backward branch, not taken for a trace
@@ -2283,7 +2207,7 @@ u_jcc: {
   goto edge_exit;
 }
 
-u_cmpjcc: {
+u_kCmpJcc: {
   // Fused compare-and-branch terminator: the condition evaluates directly
   // from the compare operands, which still enter the flags cache so every
   // exit materializes the compare's architectural flags.
@@ -2317,7 +2241,7 @@ u_cmpjcc: {
   goto edge_exit;
 }
 
-u_side_jcc:
+u_kSideJcc:
   // A branch in the middle of the trace. Not taken: the fall-through run
   // may start only under run_start's frontier check. Taken, or a failed
   // check: exit on the edge.
@@ -2333,7 +2257,7 @@ u_side_jcc:
   instructions_ = insns + u->insn_before + 1;
   goto edge_exit;
 
-u_side_cmpjcc: {
+u_kSideCmpJcc: {
   const u32 a = regs_[u->r1];
   const u32 b = u->b_imm ? static_cast<u32>(u->imm2) : regs_[u->r2];
   fc = FlagsCache{FlagsCache::Op::kSub, a, b};
@@ -2350,7 +2274,7 @@ u_side_cmpjcc: {
   goto edge_exit;
 }
 
-u_head:
+u_kHead:
   // The head of a run reached through an elided jmp: `chain`'s generation
   // check and run_start's frontier check, in one place.
   if (__builtin_expect(cyc + u->head_cost < head_until && dcache_.generation() == gen0, 1)) {
@@ -2364,12 +2288,13 @@ u_head:
   goto edge_exit;
 #undef PALLADIUM_UOP_NEXT
 
-body_done:
-  // Body complete. A trace whose final slot jumps back to its entry loops in
-  // place under the same guard as a taken loop-back branch (the jump was
-  // resolved at lowering, so only a call entered at the lowered EIP may);
-  // otherwise commit the batched retire state and let the caller dispatch
-  // the final slot through the block engine's own handler.
+u_kEnd:
+  // The end marker: the body is complete. A trace whose final slot jumps
+  // back to its entry loops in place under the same guard as a taken
+  // loop-back branch (the jump was resolved at lowering, so only a call
+  // entered at the lowered EIP may); otherwise commit the batched retire
+  // state and let the caller dispatch the final slot through the block
+  // engine's own handler.
   if (t.jmp_loop && entry_eip == t.lowered_eip) {
     const u64 next = cyc + t.body_cost + t.loop_cost;
     if (__builtin_expect(next < loop_until && dcache_.generation() == gen0, 1)) {

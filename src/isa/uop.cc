@@ -16,23 +16,15 @@ namespace palladium {
 
 namespace {
 
+// The register-ALU kinds of PALLADIUM_FOR_EACH_UOP; the fused
+// compare-and-branches are handled by the liveness pass itself.
 bool WritesFlags(UopKind k) {
   switch (k) {
-    case UopKind::kAdd:
-    case UopKind::kSub:
-    case UopKind::kCmp:
-    case UopKind::kAnd:
-    case UopKind::kTest:
-    case UopKind::kOr:
-    case UopKind::kXor:
-    case UopKind::kShl:
-    case UopKind::kShr:
-    case UopKind::kSar:
-    case UopKind::kImul:
-    case UopKind::kNeg:
-    case UopKind::kInc:
-    case UopKind::kDec:
-    case UopKind::kFold:
+#define PALLADIUM_PLAIN_CASE(kind)
+#define PALLADIUM_ALU_CASE(kind, ...) case UopKind::kind:
+    PALLADIUM_FOR_EACH_UOP(PALLADIUM_PLAIN_CASE, PALLADIUM_ALU_CASE)
+#undef PALLADIUM_PLAIN_CASE
+#undef PALLADIUM_ALU_CASE
       return true;
     default:
       return false;
@@ -127,7 +119,8 @@ bool LowerBody(const DecodedInsn* slots, u32 s, u32 body_end, Trace* t, u32* ins
         u.imm = static_cast<i32>(total);
         u.imm2 = static_cast<i32>(pre_last);
         u.disp = last.imm;
-        u.fold_last_is_sub = last.opcode == Opcode::kSubRI;
+        u.fold_op =
+            last.opcode == Opcode::kSubRI ? FlagsCache::Op::kSub : FlagsCache::Op::kAdd;
         u.span = static_cast<u8>(len);
         u.cost = chain_cost;
       } else {
@@ -373,6 +366,10 @@ std::unique_ptr<Trace> LowerRun(const DecodedInsn* slots, u32 entry_slot, u32 en
     }
   }
 
+  // The end marker: the executor reaches it exactly when the body is done.
+  Uop end;
+  end.kind = UopKind::kEnd;
+  t->uops.push_back(end);
   return t;
 }
 

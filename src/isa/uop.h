@@ -281,67 +281,134 @@ inline bool CmpJccTaken(u8 cond, u32 a, u32 b) {
   }
 }
 
+// Signed 32 x 32 multiply, full width: IMUL's low half is the result, and
+// the product overflows iff it differs from that half sign-extended.
+inline i64 SignedProduct(u32 a, u32 b) {
+  return i64{static_cast<i32>(a)} * i64{static_cast<i32>(b)};
+}
+
+// Every micro-op kind, in enum order. UopKind, the executor's label table
+// and its register-ALU handlers are all generated from this one list.
+//
+//   PLAIN(kind)                        one executor handler, `u_<kind>`;
+//   ALU(kind, forms, result, flags...) a register-ALU op, with one handler
+//                                      per operand form and `record`.
+//
+// The ALU ops (CMP and TEST included) write the flags; of the other kinds
+// only the fused compare-and-branches do. In `result` and `flags`, `a` is
+// regs[r1], `b` operand b and `r` the result; `flags` initializes the
+// FlagsCache recorded when `record` is set. The list is expanded inside
+// Cpu::ExecTrace, so these may also read `u` (the uop), `fc` (the lazy flags
+// before the op: INC and DEC keep its CF) and `eflags_`. `forms` gives
+// operand b and the handlers:
+//
+//   RR_RI  b = regs[r2] (b_imm false) or imm (b_imm true); r1 <- r
+//   CMP    as RR_RI, but r1 is not written, so a non-recording one is a nop
+//   RI     b = imm (the shift count); r1 <- r
+//   R      unary; r1 <- r
+//
+// The kinds:
+//   kNop     retire accounting only
+//   kMovRR   r1 <- r2
+//   kMovRI   r1 <- imm
+//   kLea     r1 <- effective address
+//   kNot     r1 <- ~r1 (no flags)
+//   kFold    a folded add/sub-immediate chain: r1 += imm (the summed delta),
+//            retiring `span` instructions. Its flags are the last op's: imm2
+//            is the delta before the last op, disp the last op's immediate
+//            and fold_op its FlagsCache op (kAdd or kSub).
+//   kLoad    r1 <- [seg: ea], `size` bytes zero-extended
+//   kStore   [seg: ea] <- r1
+//   kStoreI  [seg: ea] <- imm
+//            Memory uops: `pin` indexes Trace::pins. Push/pop lower to these
+//            kinds too: PUSH r/i is a store at SS:ESP-4 and POP r a load at
+//            SS:ESP, with esp_post applying the stack-pointer move after a
+//            successful access (the fault path leaves ESP untouched, exactly
+//            like Push32/Pop32).
+//   kExec    fallback: dispatch the source slot through the shared
+//            per-opcode execution core (segment moves, udiv). Never writes
+//            flags (no such non-terminator opcode does), may fault or touch
+//            memory.
+//   kJcc     the trace's final slot when it is a conditional branch. r1 =
+//            condition (Opcode - kJe), imm = taken target, cost = the slot's
+//            not-taken cost (taken charges the model's taken-branch cost).
+//            Evaluated from the lazy cache one flag at a time; when taken
+//            straight back to the trace's own entry under the frontier the
+//            block engine would re-check, the executor loops in place — a
+//            hot loop iterates entirely inside the trace and the per-entry
+//            overhead amortizes over the whole loop.
+//   kCmpJcc  fused compare-and-branch: a kCmp that immediately precedes the
+//            kJcc terminator merges into it. r1/r2/b_imm/imm2 are the
+//            compare's operands (imm2 because `imm` holds the branch
+//            target), r3 = condition, cost = the compare's base cost, cost2
+//            = the branch's not-taken cost, span = 2. The condition evaluates
+//            directly from the compare operands (CmpJccTaken), skipping a
+//            dispatch and the lazy-flag round-trip on the hottest edge in any
+//            loop: its own backward branch. The operands are still recorded
+//            into the flags cache so every exit materializes the compare's
+//            EFLAGS exactly.
+//   kSideJcc, kSideCmpJcc
+//            side exits: kJcc / kCmpJcc in the middle of the trace, with the
+//            same operand layout. Taken leaves the trace at the branch
+//            target. Not taken continues into the fall-through run after the
+//            run-head frontier check (`head_cost`), leaving at that head with
+//            exact state if it fails.
+//   kHead    the head of a run reached through an elided `jmp`: re-checks
+//            the frontier (`head_cost`) and the decode generation —
+//            Cpu::RunBlock's `chain` and `run_start` checks — and leaves at
+//            the head if either fails. Retires nothing (span 0); `slot` is
+//            the head slot and `imm` the elided jump's target EIP.
+//   kEnd     the end marker LowerRun appends after every body: reaching it
+//            completes the body, so no other uop tests for the end.
+#define PALLADIUM_FOR_EACH_UOP(PLAIN, ALU)                                        \
+  PLAIN(kNop)                                                                     \
+  PLAIN(kMovRR)                                                                   \
+  PLAIN(kMovRI)                                                                   \
+  PLAIN(kLea)                                                                     \
+  ALU(kAdd, RR_RI, a + b, FlagsCache::Op::kAdd, a, b)                             \
+  ALU(kSub, RR_RI, a - b, FlagsCache::Op::kSub, a, b)                             \
+  ALU(kCmp, CMP, a - b, FlagsCache::Op::kSub, a, b)                               \
+  ALU(kAnd, RR_RI, a & b, FlagsCache::Op::kLogic, r, 0)                           \
+  ALU(kTest, CMP, a & b, FlagsCache::Op::kLogic, r, 0)                            \
+  ALU(kOr, RR_RI, a | b, FlagsCache::Op::kLogic, r, 0)                            \
+  ALU(kXor, RR_RI, a ^ b, FlagsCache::Op::kLogic, r, 0)                           \
+  ALU(kShl, RI, a << (b & 31), FlagsCache::Op::kLogic, r, 0)                      \
+  ALU(kShr, RI, a >> (b & 31), FlagsCache::Op::kLogic, r, 0)                      \
+  ALU(kSar, RI, static_cast<u32>(static_cast<i32>(a) >> (b & 31)),                \
+      FlagsCache::Op::kLogic, r, 0)                                               \
+  ALU(kImul, RR_RI, static_cast<u32>(SignedProduct(a, b)), FlagsCache::Op::kImul, \
+      r, SignedProduct(a, b) != static_cast<i32>(r))                              \
+  ALU(kNeg, R, 0 - a, FlagsCache::Op::kNeg, a, 0)                                 \
+  PLAIN(kNot)                                                                     \
+  ALU(kInc, R, a + 1, FlagsCache::Op::kInc, a, LazyCf(fc, eflags_))               \
+  ALU(kDec, R, a - 1, FlagsCache::Op::kDec, a, LazyCf(fc, eflags_))               \
+  ALU(kFold, R, a + static_cast<u32>(u->imm), u->fold_op,                         \
+      a + static_cast<u32>(u->imm2), static_cast<u32>(u->disp))                   \
+  PLAIN(kLoad)                                                                    \
+  PLAIN(kStore)                                                                   \
+  PLAIN(kStoreI)                                                                  \
+  PLAIN(kExec)                                                                    \
+  PLAIN(kJcc)                                                                     \
+  PLAIN(kCmpJcc)                                                                  \
+  PLAIN(kSideJcc)                                                                 \
+  PLAIN(kSideCmpJcc)                                                              \
+  PLAIN(kHead)                                                                    \
+  PLAIN(kEnd)
+
 enum class UopKind : u8 {
-  kNop,    // retire accounting only
-  kMovRR,  // r1 <- r2
-  kMovRI,  // r1 <- imm
-  kLea,    // r1 <- effective address
-  // ALU; operand b is regs[r2] or imm (b_imm). `record` marks observable
-  // flag results (the static-liveness output).
-  kAdd, kSub, kCmp, kAnd, kTest, kOr, kXor,
-  kShl, kShr, kSar, kImul, kNeg, kNot, kInc, kDec,
-  // Folded add/sub-immediate chain: r1 += imm (the summed delta), retiring
-  // `span` instructions; flags are the last op's (imm2 = delta before the
-  // last op, disp = the last op's immediate, fold_last_is_sub its kind).
-  kFold,
-  // Memory; pin indexes Trace::pins. Push/pop lower to these kinds too:
-  // PUSH r/i is a store at SS:ESP-4 and POP r a load at SS:ESP, with
-  // esp_post applying the stack-pointer move after a successful access
-  // (the fault path leaves ESP untouched, exactly like Push32/Pop32).
-  kLoad,    // r1 <- [seg: ea], `size` bytes zero-extended
-  kStore,   // [seg: ea] <- r1
-  kStoreI,  // [seg: ea] <- imm
-  // Fallback: dispatch the source slot through the shared per-opcode
-  // execution core (segment moves, udiv). Never writes flags (no such
-  // non-terminator opcode does), may fault or touch memory.
-  kExec,
-  // Terminator: the trace's final slot when it is a conditional branch.
-  // r1 = condition (Opcode - kJe), imm = taken target, cost = the slot's
-  // not-taken cost (taken charges the model's taken-branch cost). Evaluated
-  // from the lazy cache one flag at a time; when taken straight back to the
-  // trace's own entry under the frontier the block engine would re-check,
-  // the executor loops in place — a hot loop iterates entirely inside the
-  // trace and the per-entry overhead amortizes over the whole loop.
-  kJcc,
-  // Fused compare-and-branch: a kCmp that immediately precedes the kJcc
-  // terminator merges into it. r1/r2/b_imm/imm2 are the compare's operands
-  // (imm2 because `imm` holds the branch target), r3 = condition, cost = the
-  // compare's base cost, cost2 = the branch's not-taken cost, span = 2. The
-  // condition evaluates directly from the compare operands (CmpJccTaken),
-  // skipping a dispatch and the lazy-flag round-trip on the hottest edge in
-  // any loop: its own backward branch. The operands are still recorded into
-  // the flags cache so every exit materializes the compare's EFLAGS exactly.
-  kCmpJcc,
-  // Side exits: kJcc / kCmpJcc in the middle of the trace, with the same
-  // operand layout. Taken leaves the trace at the branch target. Not taken
-  // continues into the fall-through run after the run-head frontier check
-  // (`head_cost`), leaving at that head with exact state if it fails.
-  kSideJcc,
-  kSideCmpJcc,
-  // The head of a run reached through an elided `jmp`: re-checks the
-  // frontier (`head_cost`) and the decode generation — Cpu::RunBlock's
-  // `chain` and `run_start` checks — and leaves at the head if either
-  // fails. Retires nothing (span 0); `slot` is the head slot and `imm` the
-  // elided jump's target EIP.
-  kHead,
+#define PALLADIUM_UOP_KIND(kind, ...) kind,
+  PALLADIUM_FOR_EACH_UOP(PALLADIUM_UOP_KIND, PALLADIUM_UOP_KIND)
+#undef PALLADIUM_UOP_KIND
 };
 
 struct Uop {
   UopKind kind = UopKind::kNop;
-  // Direct-threading cache: the executor's label address for `kind`, filled
-  // in by the executor on the trace's first run (labels are function-local,
-  // so the lowering pass cannot know them). One dependent load per dispatch
-  // instead of two (kind, then table[kind]).
+  // Direct-threading cache: the executor's handler for this uop, filled in
+  // on the trace's first run (labels are function-local, so the lowering
+  // pass cannot know them). It is chosen from everything static about the
+  // uop — kind, operand form and `record` for the ALU kinds, size and ESP
+  // move for the memory kinds — so a handler tests none of those fields, and
+  // a dispatch is one dependent load.
   const void* target = nullptr;
   u8 r1 = 0, r2 = 0, r3 = 0;
   u8 scale = 0;
@@ -350,8 +417,8 @@ struct Uop {
   bool is_stack = false;
   bool b_imm = false;             // ALU operand b is `imm`, not regs[r2]
   bool record = false;            // flag result observable: record it
-  bool fold_last_is_sub = false;  // kFold: last op of the chain was SubRI
-  i8 esp_post = 0;                // push/pop: ESP += this after a successful access
+  FlagsCache::Op fold_op = FlagsCache::Op::kAdd;  // kFold: the last op's kind
+  i8 esp_post = 0;             // push/pop: ESP += this after a successful access
   u8 pin = 0;                     // memory uops: index into Trace::pins
   u8 span = 1;                    // instructions this uop retires (folds > 1)
   u16 slot = 0;                   // source slot in the decoded page
@@ -391,7 +458,7 @@ inline constexpr u32 kMaxTraceSlots = 128;
 // A lowered chain of runs. Owned by the decoded page it was built from (see
 // DecodeCache::Page::traces); dies with the page on any invalidation.
 struct Trace {
-  std::vector<Uop> uops;
+  std::vector<Uop> uops;  // the body, then one kEnd
   bool threaded = false;  // uop targets filled in by the executor
   std::vector<TracePin> pins;
   // Retire totals of the path from the entry to the final slot (elided

@@ -365,6 +365,14 @@ TEST(DtlbDifferential, DataInCodePageAgrees) {
   EXPECT_GT(recycled, 10'000u) << "the stores barely rebuilt the code page";
 }
 
+// The AllAluForms families: `test r,r` and both `imul` forms join the pool,
+// so every ALU handler form of the trace tier meets the oracle.
+TEST(DtlbDifferential, AllAluFormsAgree) {
+  for (const FuzzShape& shape : kAllAluFormsShapes) {
+    for (u64 seed = 1; seed <= 16; ++seed) ExpectDtlbFuzzAgrees(seed, shape);
+  }
+}
+
 // --- Async-interrupt differential fuzz ----------------------------------------
 // The same random-program harness with a hardware timer and a scripted
 // second device injecting IRQs at pseudo-random cycle counts. Delivery is
@@ -662,6 +670,18 @@ TEST(IrqDifferential, DataInCodePageAgrees) {
   EXPECT_GT(total_irqs, 20u) << "the interrupt fuzz barely interrupted anything";
 }
 
+// The AllAluForms families under the same sixteen-mode cross.
+TEST(IrqDifferential, AllAluFormsAgree) {
+  u64 total_irqs = 0;
+  std::map<std::string, u64> demotions;
+  for (const FuzzShape& shape : kAllAluFormsShapes) {
+    for (u64 seed = 1; seed <= 4; ++seed) {
+      ExpectIrqFuzzAgrees(seed, shape, &total_irqs, &demotions);
+    }
+  }
+  EXPECT_GT(total_irqs, 20u) << "the interrupt fuzz barely interrupted anything";
+}
+
 // --- SMP differential fuzz -----------------------------------------------------
 // N vCPUs share physical memory, the identity page tables and the fuzz data
 // window; the deterministic min-cycle interleaver (src/hw/smp.h) steps them
@@ -946,6 +966,14 @@ TEST(SmpDifferential, JumpShapesAgree) {
 TEST(SmpDifferential, DataInCodePageAgrees) {
   std::map<std::string, u64> demotions;
   for (const FuzzShape& shape : kDataInCodePageShapes) {
+    for (u64 seed = 1; seed <= 2; ++seed) ExpectSmpFuzzAgrees(seed, shape, &demotions);
+  }
+}
+
+// The AllAluForms families under the same SMP cross.
+TEST(SmpDifferential, AllAluFormsAgree) {
+  std::map<std::string, u64> demotions;
+  for (const FuzzShape& shape : kAllAluFormsShapes) {
     for (u64 seed = 1; seed <= 2; ++seed) ExpectSmpFuzzAgrees(seed, shape, &demotions);
   }
 }

@@ -5,8 +5,8 @@
 // SMP fuzzes can give every vCPU its own program *and* — for the threaded
 // data-race-free differential — its own disjoint data window. Generation is
 // a pure function of (seed, iterations, body_len, code_base, data_base,
-// data_span): identical arguments yield byte-identical programs, which is
-// what the differential harnesses rely on.
+// data_span, shape): identical arguments yield byte-identical programs,
+// which is what the differential harnesses rely on.
 #ifndef TESTS_FUZZ_UTIL_H_
 #define TESTS_FUZZ_UTIL_H_
 
@@ -55,6 +55,10 @@ struct FuzzShape {
   // program bytes are those of the same shape without the flag; only the
   // window moves.
   bool data_in_code_page = false;
+  // The AllAluForms family: the body's register-ALU instructions also draw
+  // `test r,r`, `imul r,r` and `imul r,imm`, so every operand form the trace
+  // tier has a handler for appears.
+  bool all_alu_forms = false;
 };
 
 // The jump-shape families every differential runs besides the base one.
@@ -70,10 +74,19 @@ inline constexpr FuzzShape kDataInCodePageShapes[] = {
     {/*forward_jumps=*/true, /*top_tested=*/true, /*data_in_code_page=*/true},
 };
 
+// The AllAluForms families every differential runs.
+inline constexpr FuzzShape kAllAluFormsShapes[] = {
+    {/*forward_jumps=*/false, /*top_tested=*/false, /*data_in_code_page=*/false,
+     /*all_alu_forms=*/true},
+    {/*forward_jumps=*/true, /*top_tested=*/true, /*data_in_code_page=*/false,
+     /*all_alu_forms=*/true},
+};
+
 inline std::string FuzzShapeName(const FuzzShape& shape) {
   return std::string(shape.forward_jumps ? "jumps" : "nojumps") +
          (shape.top_tested ? "/top-tested" : "/bottom-tested") +
-         (shape.data_in_code_page ? "/data-in-code" : "");
+         (shape.data_in_code_page ? "/data-in-code" : "") +
+         (shape.all_alu_forms ? "/all-alu-forms" : "");
 }
 
 // Pseudo-random straight-line body of `body_len` instruction slots based at
@@ -81,8 +94,7 @@ inline std::string FuzzShapeName(const FuzzShape& shape) {
 // data_span). ECX is the loop counter and ESP the stack pointer (never a
 // random destination, so iterations terminate).
 inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
-                                       u32 data_base, u32 data_span,
-                                       bool forward_jumps = false) {
+                                       u32 data_base, u32 data_span, const FuzzShape& shape) {
   std::vector<Insn> body;
   body.reserve(body_len);
   // EAX/EBX/EDX/EDI/EBP are fair game; ECX is the loop counter and ESP the
@@ -154,19 +166,20 @@ inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
         in.disp = window_disp();
         break;
       }
-      case 7: {  // ALU r,r
+      case 7: {  // ALU r,r (the last two only in the AllAluForms family)
         const Opcode ops[] = {Opcode::kAddRR, Opcode::kSubRR, Opcode::kAndRR,
-                              Opcode::kOrRR,  Opcode::kXorRR, Opcode::kCmpRR};
-        in.opcode = ops[NextRand(state) % 6];
+                              Opcode::kOrRR,  Opcode::kXorRR, Opcode::kCmpRR,
+                              Opcode::kTestRR, Opcode::kImulRR};
+        in.opcode = ops[NextRand(state) % (shape.all_alu_forms ? 8 : 6)];
         in.r1 = pick_reg();
         in.r2 = pick_reg();
         break;
       }
-      case 8: {  // ALU r,imm
+      case 8: {  // ALU r,imm (the last one only in the AllAluForms family)
         const Opcode ops[] = {Opcode::kAddRI, Opcode::kSubRI, Opcode::kAndRI,
                               Opcode::kOrRI,  Opcode::kXorRI, Opcode::kCmpRI,
-                              Opcode::kTestRI};
-        in.opcode = ops[NextRand(state) % 7];
+                              Opcode::kTestRI, Opcode::kImulRI};
+        in.opcode = ops[NextRand(state) % (shape.all_alu_forms ? 8 : 7)];
         in.r1 = pick_reg();
         in.imm = static_cast<i32>(NextRand(state));
         break;
@@ -237,7 +250,7 @@ inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
                   // short, so an iteration still runs most of the body
         const u32 lo = static_cast<u32>(body.size()) + 1;
         const u32 hi = std::min(body_len - static_cast<u32>(depth), lo + 8);
-        if (!forward_jumps || hi <= lo) {
+        if (!shape.forward_jumps || hi <= lo) {
           in.opcode = Opcode::kNop;
           break;
         }
@@ -314,8 +327,8 @@ inline std::vector<u8> EncodeLoopedFuzzProgram(u64 seed, u32 iterations, u32 bod
     program.push_back(je);
   }
   const u32 body_base = code_base + static_cast<u32>(program.size()) * kInsnSize;
-  std::vector<Insn> body = BuildFuzzBody(&state, body_base, body_len, data_base, data_span,
-                                         shape.forward_jumps);
+  std::vector<Insn> body =
+      BuildFuzzBody(&state, body_base, body_len, data_base, data_span, shape);
   program.insert(program.end(), body.begin(), body.end());
   program.push_back(dec);
   if (shape.top_tested) {

@@ -415,6 +415,16 @@ TEST(ThreadedSmpDifferential, DataInCodePageMatchesInterleaver) {
   }
 }
 
+// The AllAluForms families (every ALU operand form) on the worker threads.
+TEST(ThreadedSmpDifferential, AllAluFormsMatchInterleaver) {
+  u64 threaded_demotions = 0;
+  for (const FuzzShape& shape : kAllAluFormsShapes) {
+    for (u64 seed = 1; seed <= 3; ++seed) {
+      ExpectThreadedMatchesInterleaver(seed, shape, &threaded_demotions);
+    }
+  }
+}
+
 // Determinism of the threaded mode itself: two threaded runs of the same DRF
 // workload must agree exactly (schedule, samples, final state) — host thread
 // timing must not leak into simulated time.

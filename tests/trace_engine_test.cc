@@ -727,6 +727,158 @@ delay:
   EXPECT_EQ(on.insns0, off.insns0);
 }
 
+// Every register-ALU opcode the lowering maps, in each operand form it has,
+// plus the add/sub-immediate chains that fold into one uop. The executor
+// threads each to a handler chosen by operand form and by whether its flags
+// are live (`record`).
+constexpr const char* kAluForms[] = {
+    "add %ebx, %eax",   "add $0x7FFFFFF0, %eax",  "sub %ebx, %eax",  "sub $0x80000010, %eax",
+    "cmp %ebx, %eax",   "cmp $0x40000000, %eax",  "and %ebx, %eax",  "and $0x8000FFFF, %eax",
+    "test %ebx, %eax",  "test $0x80000001, %eax", "or %ebx, %eax",   "or $0x00010000, %eax",
+    "xor %ebx, %eax",   "xor $0x80000001, %eax",  "shl $3, %eax",    "shr $5, %eax",
+    "sar $7, %eax",     "imul %ebx, %eax",        "imul $0x10001, %eax",
+    "neg %eax",         "not %eax",               "inc %eax",        "dec %eax",
+    // Folds: the recorded flags are the last op's, an add's or a sub's.
+    "add $5, %eax\n  sub $0x7FFFFFF0, %eax\n  add $0x40000001, %eax",
+    "add $0x60000000, %eax\n  sub $0x12345, %eax",
+};
+
+// What follows the op under test. A branch reading its flags or a load that
+// can fault keeps them live; the load marches into the unmapped page past
+// the end of memory, so the run ends in a fault that hands EFLAGS to the
+// handler. An op that overwrites all four flags makes them dead.
+constexpr const char* kAluNexts[] = {
+    "jl skip\n  lea 1(%ebp), %ebp",
+    "jb skip\n  lea 1(%ebp), %ebp",
+    "ld8 0(%esi), %edx\n  lea 16(%esi), %esi",
+    "add %ecx, %ebp",
+};
+
+// A hot loop around `op` and `next`. The leading `lea`s keep every trace call
+// above the yield rule's break-even and vary both operands without touching
+// the flags; the closing `dec` records the CF the op leaves behind.
+std::string AluFormLoop(const std::string& op, const std::string& next) {
+  return R"(
+  .global main
+main:
+  mov $300, %ecx
+  mov $0x9E3779B9, %eax
+  mov $0x7F4A7C15, %ebx
+  mov $0xFFF800, %esi
+loop:
+  lea 1(%edi), %edi
+  lea 1(%edi), %edi
+  lea 1(%edi), %edi
+  lea 1(%edi), %edi
+  lea 1(%edi), %edi
+  lea 1(%edi), %edi
+  lea 1(%edi), %edi
+  lea 1(%edi), %edi
+  lea 1(%edi), %edi
+  lea 1(%edi), %edi
+  lea 0x3779B9(%eax,%ecx,8), %eax
+  lea 0x5A5A5(%ebx,%eax,2), %ebx
+  )" + op + R"(
+  )" + next + R"(
+skip:
+  dec %ecx
+  jne loop
+  hlt
+)";
+}
+
+// Each case must equal the trace-off oracle in registers, EFLAGS, cycles,
+// instructions, TLB statistics and memory — at the halt, or at the fault
+// for the load case — while the loop retires in its trace.
+TEST(TraceEngine, AluFormsMatchOracle) {
+  for (const char* op : kAluForms) {
+    for (const char* next : kAluNexts) {
+      const std::string source = AluFormLoop(op, next);
+      SCOPED_TRACE(std::string(op) + " / " + next);
+      TraceRunResult on = RunWithTrace(source, /*trace=*/true);
+      TraceRunResult off = RunWithTrace(source, /*trace=*/false);
+      EXPECT_NE(on.stop.reason, StopReason::kCycleLimit);
+      EXPECT_EQ(on.stop.fault.vector, off.stop.fault.vector);
+      EXPECT_EQ(on.stop.fault.linear_address, off.stop.fault.linear_address);
+      ExpectSameState(on, off);
+      EXPECT_GE(on.trace.promotions, 1u);
+      EXPECT_GT(on.trace.uop_insns, on.instructions / 2) << "the loop must retire in its trace";
+      EXPECT_GE(on.trace.flag_materializations, 1u);
+    }
+  }
+}
+
+// The end marker, where a body's final slot is not a branch the trace
+// lowers: the `call` goes to the block engine each iteration, after the
+// trace's batched retire state is committed at the marker.
+TEST(TraceEngine, BodyEndHandsFinalSlotToBlockEngine) {
+  constexpr u32 kBodyInsns = 12;
+  const std::string source = R"(
+  .global main
+main:
+  mov $200, %ecx
+loop:
+  lea 1(%edi), %edi
+  lea 1(%edi), %edi
+  lea 1(%edi), %edi
+  lea 1(%edi), %edi
+  lea 1(%edi), %edi
+  lea 1(%edi), %edi
+  add %ecx, %eax
+  xor $0x55, %eax
+  shl $1, %ebx
+  add %eax, %ebx
+  push %ebx
+  pop %edx
+  call bump
+  dec %ecx
+  jne loop
+  hlt
+bump:
+  add $3, %edx
+  ret
+)";
+  TraceRunResult on = RunWithTrace(source, /*trace=*/true);
+  TraceRunResult off = RunWithTrace(source, /*trace=*/false);
+  EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+  ExpectSameState(on, off);
+  EXPECT_GE(on.trace.promotions, 1u);
+  EXPECT_GE(on.trace.uop_insns, 150u * kBodyInsns)
+      << "every iteration after promotion must retire its body in the trace";
+}
+
+// The end marker of a trace whose final slot is a `jmp` back to its entry:
+// the executor loops in place there, so the loop runs in one trace call
+// that leaves only through its side exit at the end. `main` enters the loop
+// through a jump, so its head heats up before the run after `je`.
+TEST(TraceEngine, JmpLoopIteratesAtBodyEnd) {
+  const std::string source = R"(
+  .global main
+main:
+  mov $500, %ecx
+  jmp loop
+loop:
+  add %ecx, %eax
+  xor $0x55, %eax
+  lea 3(%eax,%ecx,4), %edx
+  dec %ecx
+  je done
+  add %edx, %ebx
+  jmp loop
+done:
+  hlt
+)";
+  TraceRunResult on = RunWithTrace(source, /*trace=*/true);
+  TraceRunResult off = RunWithTrace(source, /*trace=*/false);
+  EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+  ExpectSameState(on, off);
+  EXPECT_EQ(on.trace.promotions, 1u);
+  EXPECT_EQ(on.trace.demotions, 0u);
+  EXPECT_EQ(on.trace.side_exits, 1u) << "the loop must leave only through `je done`";
+  EXPECT_GT(on.trace.entries, 450u) << "each in-place iteration counts as an entry";
+  EXPECT_GT(on.trace.uop_insns, on.instructions / 2);
+}
+
 // A page fault raised by a memory uop mid-trace must deliver the exact
 // architectural EFLAGS even though the flag producers before it executed
 // lazily: the trace's fault exit materializes the pending flags cache.
