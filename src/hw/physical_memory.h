@@ -76,11 +76,17 @@ class PhysicalMemory {
     }
   };
 
-  explicit PhysicalMemory(u32 size_bytes) : bytes_(size_bytes, 0) {
-    for (auto& slot : observers_) slot.store(nullptr, std::memory_order_relaxed);
-  }
+  // The bytes live in their own anonymous mapping, not in the heap: the
+  // kernel hands out zeroed pages lazily, so a machine costs resident
+  // memory only for the frames it touches and no set-up time to clear the
+  // rest. Returning the mapping on destruction keeps machine after machine
+  // from growing or fragmenting the host process's heap.
+  explicit PhysicalMemory(u32 size_bytes);
+  ~PhysicalMemory();
+  PhysicalMemory(const PhysicalMemory&) = delete;
+  PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
-  u32 size() const { return static_cast<u32>(bytes_.size()); }
+  u32 size() const { return size_; }
 
   void AddWriteObserver(WriteObserver* observer) {
     const u32 n = observer_count_.load(std::memory_order_relaxed);
@@ -129,7 +135,7 @@ class PhysicalMemory {
   }
 
   bool Contains(u32 addr, u32 len) const {
-    return addr < bytes_.size() && len <= bytes_.size() - addr;
+    return addr < size_ && len <= size_ - addr;
   }
 
   // All accessors return false (and leave *out untouched / memory unmodified)
@@ -165,10 +171,10 @@ class PhysicalMemory {
   // pointer MUST be followed by NotifyWrite for the touched range, or the
   // decode cache would miss self-modifying stores.
   u8* FrameHostPtr(u32 frame) {
-    return Contains(frame, kPageSize) ? bytes_.data() + frame : nullptr;
+    return Contains(frame, kPageSize) ? bytes_ + frame : nullptr;
   }
   // Read-only view of all of physical memory (diff harnesses, dumps).
-  const u8* HostData() const { return bytes_.data(); }
+  const u8* HostData() const { return bytes_; }
 
   // Fires the write observer for bytes mutated through FrameHostPtr.
   void NotifyWrite(u32 addr, u32 len) { Notify(addr, len); }
@@ -207,7 +213,8 @@ class PhysicalMemory {
     }
   }
 
-  std::vector<u8> bytes_;
+  u8* bytes_ = nullptr;
+  u32 size_ = 0;
   std::array<std::atomic<WriteObserver*>, kMaxObservers> observers_;
   std::atomic<u32> observer_count_{0};
   inline static thread_local WriteLane* active_lane_ = nullptr;
