@@ -1,6 +1,7 @@
 #include "src/hw/nic.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/obs/trace.h"
 
@@ -25,13 +26,16 @@ Nic::Nic(PhysicalMemory& pm, InterruptController& pic, u32 irq) : pm_(pm) {
 
 void Nic::SetQueueCount(u32 n) {
   n = std::max(1u, std::min(n, kNicMaxQueues));
-  const Queue wiring0 = queues_[0];
-  queues_.assign(n, Queue{});
+  InterruptController* const pic = queues_[0].pic;
+  const u32 rx_irq = queues_[0].rx_irq;
+  const u32 tx_irq = queues_[0].tx_irq;
+  queues_.clear();
+  queues_.resize(n);
   // Queue 0 keeps its wiring; fresh queues inherit it until WireQueue.
   for (Queue& q : queues_) {
-    q.pic = wiring0.pic;
-    q.rx_irq = wiring0.rx_irq;
-    q.tx_irq = wiring0.tx_irq;
+    q.pic = pic;
+    q.rx_irq = rx_irq;
+    q.tx_irq = tx_irq;
   }
 }
 
@@ -82,24 +86,39 @@ void Nic::Inject(const u8* frame, u32 len, u64 at_cycle) {
   last_arrival_ = at_cycle;
   const u32 q =
       queues_.size() > 1 ? RssHash(frame, len) % static_cast<u32>(queues_.size()) : 0;
-  Arrival a;
-  a.cycle = at_cycle;
-  a.frame.assign(frame, frame + len);
-  queues_[q].arrivals.push_back(std::move(a));
+  std::deque<ArenaChunk>& arena = queues_[q].arena;
+  // Every chunk but the newest holds undelivered frames; a drained newest
+  // chunk is refilled from its start, or replaced if the frame outgrows it.
+  if (!arena.empty() && arena.back().live == 0) {
+    arena.back().used = 0;
+    if (arena.back().size < len) arena.pop_back();
+  }
+  if (arena.empty() || arena.back().size - arena.back().used < len) {
+    ArenaChunk chunk;
+    chunk.size = std::max(len, kArenaChunkBytes);
+    chunk.bytes.reset(new u8[chunk.size]);
+    arena.push_back(std::move(chunk));
+  }
+  ArenaChunk& chunk = arena.back();
+  u8* bytes = chunk.bytes.get() + chunk.used;
+  if (len != 0) std::memcpy(bytes, frame, len);
+  chunk.used += len;
+  ++chunk.live;
+  queues_[q].arrivals.push_back(Arrival{at_cycle, bytes, len});
   // Both hub attachments must see the new arrival: the whole-device view
   // (single-hub harnesses) and the per-queue device on the owning core.
   NotifyHub();
   queue_devices_[q].Poke();
 }
 
-bool Nic::DmaRxFrame(Queue& queue, const std::vector<u8>& frame) {
+bool Nic::DmaRxFrame(Queue& queue, const u8* frame, u32 len) {
   if (queue.rx.count == 0) return false;
   const u32 desc = queue.rx.desc_phys + queue.rx_head * kNicDescBytes;
   u32 status = 0, buf = 0;
   if (!pm_.Read32(desc + kNicDescStatus, &status) || status != kDescOwn) return false;
   if (!pm_.Read32(desc + kNicDescBuf, &buf)) return false;
-  const u32 len = std::min<u32>(static_cast<u32>(frame.size()), queue.rx.buf_stride);
-  if (!pm_.WriteBlock(buf, frame.data(), len)) return false;
+  len = std::min(len, queue.rx.buf_stride);
+  if (!pm_.WriteBlock(buf, frame, len)) return false;
   pm_.Write32(desc + kNicDescLen, len);
   pm_.Write32(desc + kNicDescStatus, kDescDone);
   queue.rx_head = (queue.rx_head + 1) % queue.rx.count;
@@ -117,10 +136,8 @@ u32 Nic::CompleteOneTx(Queue& queue) {
     pm_.Read32(desc + kNicDescLen, &len);
     pm_.Read32(desc + kNicDescBuf, &buf);
     len = std::min(len, queue.tx.buf_stride);
-    std::vector<u8> frame(len);
-    if (pm_.ReadBlock(buf, frame.data(), len)) {
-      tx_log_.push_back(std::move(frame));
-      if (tx_log_.size() > kTxLogCap) tx_log_.pop_front();
+    if (pm_.Contains(buf, len)) {
+      LogTx(buf, len);
       ++stats_.tx_frames;
       stats_.tx_bytes += len;
       sent = len;
@@ -131,6 +148,48 @@ u32 Nic::CompleteOneTx(Queue& queue) {
   // still advances the engine; the schedule entry is consumed either way.
   queue.tx_head = queue.tx.count > 0 ? (queue.tx_head + 1) % queue.tx.count : 0;
   return sent;
+}
+
+void Nic::LogTx(u32 buf, u32 len) {
+  const u64 rec = 4 + ((static_cast<u64>(len) + 3) & ~3ull);
+  if (rec > kTxLogBytes) {  // cannot be kept: the log restarts empty
+    tx_log_head_ = tx_log_tail_;
+    tx_log_count_ = 0;
+    return;
+  }
+  if (!tx_log_) tx_log_.reset(new u8[kTxLogBytes]);
+  while (tx_log_tail_ + rec - tx_log_head_ > kTxLogBytes) {
+    u32 old = 0;
+    std::memcpy(&old, &tx_log_[tx_log_head_ % kTxLogBytes], 4);
+    tx_log_head_ += 4 + ((old + 3) & ~3u);
+    --tx_log_count_;
+  }
+  const u32 at = static_cast<u32>(tx_log_tail_ % kTxLogBytes);
+  std::memcpy(&tx_log_[at], &len, 4);
+  const u32 off = (at + 4) % kTxLogBytes;
+  const u32 first = std::min(len, kTxLogBytes - off);
+  const u8* src = pm_.HostData() + buf;
+  if (first != 0) std::memcpy(&tx_log_[off], src, first);
+  if (len != first) std::memcpy(&tx_log_[0], src + first, len - first);
+  tx_log_tail_ += rec;
+  ++tx_log_count_;
+}
+
+std::vector<u8> Nic::tx_log_frame(u32 i) const {
+  if (i >= tx_log_count_) return {};
+  u64 pos = tx_log_head_;
+  u32 len = 0;
+  for (;;) {
+    std::memcpy(&len, &tx_log_[pos % kTxLogBytes], 4);
+    if (i-- == 0) break;
+    pos += 4 + ((len + 3) & ~3u);
+  }
+  std::vector<u8> out(len);
+  const u32 off = static_cast<u32>((pos + 4) % kTxLogBytes);
+  const u32 first = std::min(len, kTxLogBytes - off);
+  if (first != 0) std::memcpy(out.data(), &tx_log_[off], first);
+  if (len != first) std::memcpy(out.data() + first, &tx_log_[0], len - first);
+  return out;
 }
 
 u64 Nic::QueueNextEvent(u32 q) const {
@@ -145,16 +204,16 @@ u64 Nic::QueueNextEvent(u32 q) const {
 void Nic::AdvanceQueue(u32 q, u64 now) {
   Queue& queue = queues_[q];
   while (!queue.arrivals.empty() && queue.arrivals.front().cycle <= now) {
-    const u64 at = queue.arrivals.front().cycle;
+    const Arrival& arrival = queue.arrivals.front();
+    const u64 at = arrival.cycle;
     // Oversize frames never land truncated-but-"complete": the wire drops
     // them (no jumbo support), the same as a ring with no free descriptor.
-    if (queue.arrivals.front().frame.size() > queue.rx.buf_stride) {
+    if (arrival.len > queue.rx.buf_stride) {
       ++stats_.rx_dropped;
-    } else if (DmaRxFrame(queue, queue.arrivals.front().frame)) {
+    } else if (DmaRxFrame(queue, arrival.bytes, arrival.len)) {
       if (recorder_ != nullptr) {
         recorder_->Record(obs_first_track_ + q, at, obs::EventType::kFrameDma,
-                          obs::EventClass::kArch, q,
-                          static_cast<u32>(queue.arrivals.front().frame.size()));
+                          obs::EventClass::kArch, q, arrival.len);
       }
       if (queue.rx_irq_enabled) {
         if (rx_irq_moderation_ == 0) {
@@ -180,6 +239,9 @@ void Nic::AdvanceQueue(u32 q, u64 now) {
       ++stats_.rx_dropped;
     }
     queue.arrivals.pop_front();
+    // The oldest undelivered frame sits in the front chunk; free the chunk
+    // with its last frame unless Inject is still appending to it.
+    if (--queue.arena.front().live == 0 && queue.arena.size() > 1) queue.arena.pop_front();
   }
   if (queue.rx_irq_due != kIdle && queue.rx_irq_due <= now) {
     if (queue.rx_irq_enabled && queue.pic != nullptr) {

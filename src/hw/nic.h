@@ -32,6 +32,7 @@
 #define SRC_HW_NIC_H_
 
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "src/hw/irq.h"
@@ -90,6 +91,8 @@ class Nic : public IrqDevice {
   // Host harness: a frame arrives on the wire at `at_cycle` (clamped to be
   // non-decreasing so the arrival sequence is a valid timeline). With more
   // than one queue the frame lands on queue RssHash(frame) % num_queues.
+  // The bytes are copied into the queue's arrival arena (kArenaChunkBytes
+  // chunks, freed once their last frame has been DMA'd or dropped).
   void Inject(const u8* frame, u32 len, u64 at_cycle);
 
   // The hardware RSS hash: FNV-1a over the 5-tuple fields present, finished
@@ -160,21 +163,41 @@ class Nic : public IrqDevice {
   }
 
   const Stats& stats() const { return stats_; }
-  const std::deque<std::vector<u8>>& tx_frames() const { return tx_log_; }
+  // The TX log: the most recently completed frames, oldest first, as many
+  // as fit in kTxLogBytes of [u32 len][bytes] records. stats().tx_frames is
+  // the exact wire count; the log keeps only the tail of it.
+  u32 tx_log_frames() const { return tx_log_count_; }
+  std::vector<u8> tx_log_frame(u32 i) const;
   const NicRing& rx_ring(u32 q = 0) const { return queues_[q].rx; }
   const NicRing& tx_ring(u32 q = 0) const { return queues_[q].tx; }
   u32 rx_head(u32 q = 0) const { return queues_[q].rx_head; }
   u64 rx_frames_on_queue(u32 q) const { return queues_[q].rx_count; }
 
-  static constexpr size_t kTxLogCap = 4096;
+  static constexpr u32 kTxLogBytes = 64 << 10;
+  static constexpr u32 kArenaChunkBytes = 256 << 10;
 
  private:
   struct Arrival {
     u64 cycle;
-    std::vector<u8> frame;
+    const u8* bytes;  // inside the queue's arena
+    u32 len;
+  };
+  // One arena chunk: frames are appended at `used`; `live` counts those not
+  // yet DMA'd. Chunks are consumed in order, so only the front one drains.
+  struct ArenaChunk {
+    std::unique_ptr<u8[]> bytes;
+    u32 size = 0;
+    u32 used = 0;
+    u32 live = 0;
   };
 
   struct Queue {
+    // Move-only (the arena owns its chunks); declared so std::vector does
+    // not reach for the copy std::deque claims to have.
+    Queue() = default;
+    Queue(Queue&&) = default;
+    Queue& operator=(Queue&&) = default;
+
     NicRing rx;
     NicRing tx;
     u32 rx_head = 0;  // next RX descriptor the hardware fills
@@ -188,6 +211,7 @@ class Nic : public IrqDevice {
     u64 rx_irq_due = IrqDevice::kIdle;  // armed moderation timer, if any
     u64 rx_irq_gate = 0;                // earliest cycle the next IRQ may fire
     std::deque<Arrival> arrivals;
+    std::deque<ArenaChunk> arena;  // holds the bytes of `arrivals`
     std::deque<u64> tx_complete_at;  // scheduled completions, in ring order
     u64 tx_last_scheduled = 0;       // serializes the DMA engine across kicks
     u64 rx_count = 0;                // frames DMA'd via this queue
@@ -211,8 +235,11 @@ class Nic : public IrqDevice {
 
   u64 QueueNextEvent(u32 q) const;
   void AdvanceQueue(u32 q, u64 now);
-  bool DmaRxFrame(Queue& queue, const std::vector<u8>& frame);
+  bool DmaRxFrame(Queue& queue, const u8* frame, u32 len);
   u32 CompleteOneTx(Queue& queue);  // returns the completed frame's length
+  // Appends the frame at physical `buf` to the TX log, evicting the oldest
+  // records until it fits.
+  void LogTx(u32 buf, u32 len);
 
   PhysicalMemory& pm_;
   std::vector<Queue> queues_;
@@ -220,7 +247,13 @@ class Nic : public IrqDevice {
   u64 last_arrival_ = 0;
   u32 tx_dma_cycles_ = 64;  // per-descriptor DMA latency
   u32 rx_irq_moderation_ = 0;  // ITR window; 0 = interrupt per DMA
-  std::deque<std::vector<u8>> tx_log_;  // completion order, most recent kTxLogCap
+  // TX log byte ring. Positions grow monotonically; a byte's offset in the
+  // ring is its position % kTxLogBytes. Records are 4-byte aligned, so a
+  // length word never straddles the end.
+  std::unique_ptr<u8[]> tx_log_;
+  u64 tx_log_head_ = 0;  // position of the oldest record
+  u64 tx_log_tail_ = 0;  // position one past the newest record
+  u32 tx_log_count_ = 0;
   Stats stats_;
   obs::FlightRecorder* recorder_ = nullptr;
   u32 obs_first_track_ = 0;

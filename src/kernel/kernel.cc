@@ -265,6 +265,7 @@ Pid Kernel::CreateProcess() {
   if (!BuildAddressSpace(*proc)) return 0;
   Pid pid = proc->pid;
   processes_[pid] = std::move(proc);
+  ++stray_epoch_;
   return pid;
 }
 
@@ -639,6 +640,7 @@ bool Kernel::ExecImage(Pid pid, const LinkedImage& image, const std::string& ent
   proc->ppl1_pages.clear();
   proc->signals = SignalState{};
   proc->state = ProcessState::kRunnable;
+  ++stray_epoch_;
   Charge(config_.costs.exec_base);
   return LoadUserImage(pid, image, entry_symbol, diag);
 }
@@ -658,6 +660,7 @@ void Kernel::SwitchTo(Process& proc) {
   // only at image load) means processes loaded before EnableTimerInterrupts
   // or the Scheduler existed are still preemptible and watchdog-covered.
   if (interrupts_enabled_) cpu().set_eflags(cpu().eflags() | kFlagIf);
+  if (cur() != nullptr && cur() != &proc) ++stray_epoch_;
   cur() = &proc;
   Charge(config_.costs.context_switch);
   if (recorder_ != nullptr) {
@@ -878,7 +881,11 @@ void Kernel::WakeProcess(Process& proc) {
   if (proc.state != ProcessState::kBlocked) return;
   proc.state = ProcessState::kRunnable;
   proc.waiting_packet = false;
-  if (sched_ != nullptr) sched_->OnWake(proc.pid);
+  if (sched_ != nullptr) {
+    sched_->OnWake(proc.pid);
+  } else {
+    ++stray_epoch_;  // nobody queued it
+  }
 }
 
 void Kernel::KillCurrent(const std::string& reason) {

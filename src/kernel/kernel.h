@@ -8,6 +8,7 @@
 #ifndef SRC_KERNEL_KERNEL_H_
 #define SRC_KERNEL_KERNEL_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -388,6 +389,12 @@ class Kernel {
   std::map<Pid, std::unique_ptr<Process>> processes_;
   Pid next_pid_ = 1;
   std::vector<Process*> current_;  // one slot per vCPU
+  // Bumped whenever a process may have become a stray (runnable, in no
+  // ready queue, current on no vCPU): it was created, set kRunnable with no
+  // scheduler to queue it, or displaced from a current slot.
+  // Scheduler::Dispatch rescans for strays only after it moves. Atomic:
+  // processes can be created and woken from vCPU host threads.
+  std::atomic<u64> stray_epoch_{0};
 
   std::map<u32, HostCallHandler> host_calls_;
   u32 next_host_call_id_ = kHostEntryFirstFree;

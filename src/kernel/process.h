@@ -77,8 +77,10 @@ struct Process {
   bool in_extension = false;
 
   // Packet delivery queue (filled by the dataplane from NIC RX interrupts,
-  // drained by sys_pkt_recv). waiting_packet marks a process blocked in
-  // pkt_recv so a delivery wakes exactly the right sleeper.
+  // drained by sys_pkt_recv). Each frame is a dataplane pool buffer moved in
+  // on delivery; pkt_recv hands it back, and frames still queued when the
+  // process dies are freed with it. waiting_packet marks a process blocked
+  // in pkt_recv so a delivery wakes exactly the right sleeper.
   std::deque<std::vector<u8>> pkt_queue;
   u32 pkt_queue_limit = 64;
   bool waiting_packet = false;

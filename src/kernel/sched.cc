@@ -137,10 +137,13 @@ bool Scheduler::Dispatch(u32 c, u64 deadline) {
   if (pid == 0) {
     // Adopt a stray runnable (a fork child, or a process woken outside
     // OnWake): it joins this vCPU at the current frontier. The scan is
-    // O(processes × vCPUs) but runs only when this vCPU found nothing to
-    // run or steal, and process counts in this kernel are tens at most;
-    // keeping it here (rather than only in the machine-idle path) is what
-    // lets a fork child start while its parent keeps a sibling core busy.
+    // O(processes × vCPUs), so it runs only when this vCPU found nothing to
+    // run or steal and a stray may have appeared since a scan last came up
+    // empty (Kernel::stray_epoch_). Keeping it here (rather than only in
+    // the machine-idle path) is what lets a fork child start while its
+    // parent keeps a sibling core busy.
+    const u64 epoch = kernel_.stray_epoch_.load();
+    if (epoch == stray_free_epoch_) return false;
     for (const auto& [p, proc] : kernel_.processes_) {
       if (proc->state != ProcessState::kRunnable || proc->sched_queued) continue;
       bool is_current = false;
@@ -152,7 +155,10 @@ bool Scheduler::Dispatch(u32 c, u64 deadline) {
       stamp = kernel_.cpu().cycles();
       break;
     }
-    if (pid == 0) return false;
+    if (pid == 0) {
+      stray_free_epoch_ = epoch;
+      return false;
+    }
   }
 
   Process* proc = kernel_.process(pid);

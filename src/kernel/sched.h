@@ -125,6 +125,8 @@ class Scheduler {
   std::vector<PerCpu> cpus_;
   u32 next_home_ = 0;
   bool yield_pending_ = false;
+  // Kernel::stray_epoch_ when Dispatch last scanned and found no stray.
+  u64 stray_free_epoch_ = ~0ull;
   Stats stats_;
   IdleHook idle_hook_;
 };

@@ -46,6 +46,9 @@ PacketDataplane::PacketDataplane(Kernel& kernel, KernelExtensionManager& kext, N
   if (config_.napi_poll_budget == 0) config_.napi_poll_budget = 1;
   rx_consume_.assign(config_.queues, 0);
   tx_produce_.assign(config_.queues, 0);
+  buf_bytes_ = std::min(config_.buf_stride, kPageSize);
+  pools_.resize(config_.queues);
+  for (std::vector<std::vector<u8>>& pool : pools_) pool.reserve(kPoolCap);
 
   // Rings: one descriptor page per direction per queue, one buffer frame per
   // descriptor (frames need not be contiguous — descriptors carry their
@@ -56,7 +59,7 @@ PacketDataplane::PacketDataplane(Kernel& kernel, KernelExtensionManager& kext, N
     ring.desc_phys = kernel_.frames().Alloc();
     if (ring.desc_phys == 0) return ring;  // out of frames: empty ring, NIC drops
     ring.count = std::min(entries, kPageSize / kNicDescBytes);
-    ring.buf_stride = std::min(config_.buf_stride, kPageSize);
+    ring.buf_stride = buf_bytes_;
     for (u32 i = 0; i < ring.count; ++i) {
       const u32 buf = kernel_.frames().Alloc();
       if (buf == 0) {
@@ -234,7 +237,7 @@ bool PacketDataplane::AllDestsSaturated(Process** blocker) {
   return true;
 }
 
-bool PacketDataplane::Deliver(FlowInfo& flow, const std::vector<u8>& frame) {
+bool PacketDataplane::Deliver(FlowInfo& flow, std::vector<u8>& frame) {
   Process* first_full = nullptr;
   // RSS steering anchors the probe sequence at the flow-hash slot so a wire
   // flow sticks to one worker; round-robin rotates the anchor every frame.
@@ -255,7 +258,7 @@ bool PacketDataplane::Deliver(FlowInfo& flow, const std::vector<u8>& frame) {
       if (first_full == nullptr) first_full = proc;
       continue;
     }
-    proc->pkt_queue.push_back(frame);
+    proc->pkt_queue.push_back(std::move(frame));
     ++proc->pkts_delivered;
     ++stats_.delivered;
     if (obs::FlightRecorder* rec = kernel_.recorder()) {
@@ -288,10 +291,12 @@ void PacketDataplane::ClassifyFrames(std::vector<std::vector<u8>>& frames) {
   {
     Process* blocker = nullptr;
     if (config_.backpressure && AllDestsSaturated(&blocker)) {
-      for (u32 i = 0; i < n; ++i) {
+      const u32 q = QueueForCurrentCpu();
+      for (std::vector<u8>& frame : frames) {
         ++stats_.dropped_queue_full;
         ++stats_.filter_calls_avoided;
         if (blocker != nullptr) ++blocker->pkts_dropped;
+        ReleaseBuffer(q, std::move(frame));
       }
       return;
     }
@@ -301,8 +306,9 @@ void PacketDataplane::ClassifyFrames(std::vector<std::vector<u8>>& frames) {
   // earlier flow is never offered to a later one); only the crossings are
   // batched. Filters are pure functions of the staged frame, so flow-major
   // invocation order cannot change any verdict.
-  std::vector<i32> first_match(n, -1);
-  std::vector<u32> idxs;
+  std::vector<i32>& first_match = first_match_;
+  std::vector<u32>& idxs = match_idxs_;
+  first_match.assign(n, -1);
   for (u32 fi = 0; fi < flows_.size(); ++fi) {
     FlowInfo& flow = flows_[fi];
     if (flow.dead) continue;
@@ -395,6 +401,9 @@ void PacketDataplane::ClassifyFrames(std::vector<std::vector<u8>>& frames) {
     ++flow.matched;
     Deliver(flow, frames[i]);
   }
+  // Dropped frames go back to the pool (delivered ones were moved out).
+  const u32 q = QueueForCurrentCpu();
+  for (std::vector<u8>& frame : frames) ReleaseBuffer(q, std::move(frame));
 }
 
 void PacketDataplane::WakeOneWaiter() {
@@ -410,6 +419,25 @@ void PacketDataplane::WakeOneWaiter() {
       return;
     }
   }
+}
+
+std::vector<u8> PacketDataplane::TakeBuffer(u32 q) {
+  std::vector<std::vector<u8>>& pool = pools_[q];
+  if (pool.empty()) {
+    std::vector<u8> buf;
+    buf.reserve(buf_bytes_);
+    return buf;
+  }
+  std::vector<u8> buf = std::move(pool.back());
+  pool.pop_back();
+  return buf;
+}
+
+void PacketDataplane::ReleaseBuffer(u32 q, std::vector<u8> buf) {
+  std::vector<std::vector<u8>>& pool = pools_[q];
+  if (buf.capacity() < buf_bytes_ || pool.size() >= kPoolCap) return;  // freed here
+  buf.clear();
+  pool.push_back(std::move(buf));
 }
 
 u32 PacketDataplane::QueueForCurrentCpu() const {
@@ -428,7 +456,8 @@ void PacketDataplane::CollectRx(u32 q, u32 budget, std::vector<std::vector<u8>>*
     pm.Read32(desc + kNicDescLen, &len);
     pm.Read32(desc + kNicDescBuf, &buf);
     len = std::min(len, ring.buf_stride);
-    std::vector<u8> frame(len);
+    std::vector<u8> frame = TakeBuffer(q);
+    frame.resize(len);
     pm.ReadBlock(buf, frame.data(), len);
     // Return the descriptor to the hardware before classifying so a burst
     // arriving mid-filter still finds room.
@@ -441,7 +470,7 @@ void PacketDataplane::CollectRx(u32 q, u32 budget, std::vector<std::vector<u8>>*
 
 void PacketDataplane::PollQueue(u32 q) {
   const u32 cpu = kernel_.machine().current_cpu_index();
-  std::vector<std::vector<u8>> batch;
+  std::vector<std::vector<u8>>& batch = poll_batch_;
   for (;;) {
     batch.clear();
     CollectRx(q, config_.napi_poll_budget, &batch);
@@ -455,14 +484,7 @@ void PacketDataplane::PollQueue(u32 q) {
                   obs::EventClass::kArch, q, static_cast<u32>(batch.size()));
     }
     if (config_.rps) {
-      for (std::vector<u8>& frame : batch) {
-        if (backlog_.size() >= config_.backlog_limit) {
-          ++stats_.dropped_backlog_full;
-        } else {
-          backlog_.push_back(std::move(frame));
-          WakeOneWaiter();
-        }
-      }
+      for (std::vector<u8>& frame : batch) Backlog(q, frame);
     } else {
       ClassifyFrames(batch);
     }
@@ -472,6 +494,16 @@ void PacketDataplane::PollQueue(u32 q) {
     // that turns an IRQ per packet into an IRQ per burst.
     kernel_.irq_hub(cpu).AdvanceDevices(kernel_.machine().cpu().cycles());
   }
+}
+
+void PacketDataplane::Backlog(u32 q, std::vector<u8>& frame) {
+  if (backlog_.size() >= config_.backlog_limit) {
+    ++stats_.dropped_backlog_full;
+    ReleaseBuffer(q, std::move(frame));
+    return;
+  }
+  backlog_.push_back(std::move(frame));
+  WakeOneWaiter();
 }
 
 void PacketDataplane::ServiceQueue(u32 q) {
@@ -485,7 +517,7 @@ void PacketDataplane::ServiceQueue(u32 q) {
   }
   // Legacy IRQ-per-frame drain (the oracle): one frame at a time, each
   // classified through a per-frame protected crossing.
-  std::vector<std::vector<u8>> one;
+  std::vector<std::vector<u8>>& one = poll_batch_;
   for (;;) {
     one.clear();
     CollectRx(q, 1, &one);
@@ -493,12 +525,7 @@ void PacketDataplane::ServiceQueue(u32 q) {
     if (config_.rps) {
       // RPS: the interrupt core only queues the raw frame; a worker's
       // pkt_recv runs the protected filter on its own vCPU.
-      if (backlog_.size() >= config_.backlog_limit) {
-        ++stats_.dropped_backlog_full;
-      } else {
-        backlog_.push_back(std::move(one.front()));
-        WakeOneWaiter();
-      }
+      Backlog(q, one.front());
     } else {
       ClassifyFrames(one);
     }
@@ -528,7 +555,7 @@ void PacketDataplane::DrainBacklog(bool drain_all) {
   // to other workers wake them; they drain their own share on their cores.
   // `drain_all` (shutdown) classifies everything regardless of the caller.
   Process* me = kernel_.current();
-  std::vector<std::vector<u8>> batch;
+  std::vector<std::vector<u8>>& batch = drain_batch_;
   while (!backlog_.empty() && (drain_all || me == nullptr || me->pkt_queue.empty())) {
     batch.clear();
     const u32 k = std::min<u32>(config_.filter_batch, static_cast<u32>(backlog_.size()));
@@ -542,7 +569,7 @@ void PacketDataplane::DrainBacklog(bool drain_all) {
   in_classify_ = false;
 }
 
-bool PacketDataplane::Transmit(const std::vector<u8>& frame) {
+bool PacketDataplane::Transmit(const u8* frame, u32 len) {
   const u32 q = QueueForCurrentCpu();
   PhysicalMemory& pm = kernel_.machine().pm();
   const NicRing& ring = nic_.tx_ring(q);
@@ -564,8 +591,8 @@ bool PacketDataplane::Transmit(const std::vector<u8>& frame) {
     if (status == kDescOwn) return false;
   }
   pm.Read32(desc + kNicDescBuf, &buf);
-  const u32 len = std::min<u32>(static_cast<u32>(frame.size()), ring.buf_stride);
-  pm.WriteBlock(buf, frame.data(), len);
+  len = std::min(len, ring.buf_stride);
+  pm.WriteBlock(buf, frame, len);
   pm.Write32(desc + kNicDescLen, len);
   pm.Write32(desc + kNicDescStatus, kDescOwn);
   tx_produce_[q] = (tx_produce_[q] + 1) % ring.count;
@@ -595,15 +622,15 @@ void PacketDataplane::SysPktRecv(u32 buf, u32 cap, u32 flags) {
     kernel_.BlockCurrentForRestart();
     return;
   }
-  const std::vector<u8>& pkt = proc.pkt_queue.front();
-  const u32 n = std::min(cap, static_cast<u32>(pkt.size()));
-  if (!kernel_.CopyToUser(proc, buf, pkt.data(), n)) {
-    proc.pkt_queue.pop_front();
+  const u32 n = std::min(cap, static_cast<u32>(proc.pkt_queue.front().size()));
+  const bool copied = kernel_.CopyToUser(proc, buf, proc.pkt_queue.front().data(), n);
+  ReleaseBuffer(QueueForCurrentCpu(), std::move(proc.pkt_queue.front()));
+  proc.pkt_queue.pop_front();
+  if (!copied) {
     kernel_.ReturnFromGate(kErrFault);
     return;
   }
   kernel_.Charge(n * kernel_.costs().pkt_copy_per_byte);
-  proc.pkt_queue.pop_front();
   if (obs::FlightRecorder* rec = kernel_.recorder()) {
     rec->Record(kernel_.machine().current_cpu_index(),
                 kernel_.machine().cpu().cycles(), obs::EventType::kFrameRecv,
@@ -615,22 +642,34 @@ void PacketDataplane::SysPktRecv(u32 buf, u32 cap, u32 flags) {
 void PacketDataplane::SysPktSend(u32 buf, u32 len) {
   Process& proc = *kernel_.current();
   kernel_.Charge(kernel_.costs().pkt_syscall_base);
-  if (len == 0 || len > nic_.tx_ring(QueueForCurrentCpu()).buf_stride) {
+  const u32 q = QueueForCurrentCpu();
+  if (len == 0 || len > nic_.tx_ring(q).buf_stride) {
     kernel_.ReturnFromGate(kErrInval);
     return;
   }
-  std::vector<u8> frame(len);
+  std::vector<u8> frame = TakeBuffer(q);
+  frame.resize(len);
   if (!kernel_.CopyFromUser(proc, buf, frame.data(), len)) {
+    ReleaseBuffer(q, std::move(frame));
     kernel_.ReturnFromGate(kErrFault);
     return;
   }
   kernel_.Charge(len * kernel_.costs().pkt_copy_per_byte);
-  if (tx_hook_) frame = tx_hook_(kernel_, proc, frame);
-  if (!Transmit(frame)) {
+  const bool sent = SendFrame(proc, frame);
+  ReleaseBuffer(q, std::move(frame));
+  if (!sent) {
     kernel_.ReturnFromGate(kErrAgain);
     return;
   }
   kernel_.ReturnFromGate(len);
+}
+
+bool PacketDataplane::SendFrame(Process& proc, const std::vector<u8>& frame) {
+  if (!tx_hook_) return Transmit(frame.data(), static_cast<u32>(frame.size()));
+  std::vector<u8> out = tx_hook_(kernel_, proc, frame);
+  const bool sent = Transmit(out.data(), static_cast<u32>(out.size()));
+  ReleaseBuffer(QueueForCurrentCpu(), std::move(out));
+  return sent;
 }
 
 void PacketDataplane::SysPktRecvM(u32 buf, u32 cap, u32 flags) {
@@ -654,18 +693,21 @@ void PacketDataplane::SysPktRecvM(u32 buf, u32 cap, u32 flags) {
   // [u32 len][bytes] records (4-byte aligned), then copy out once: the
   // recvmmsg idea — the gate + dispatch + base cost is paid once per batch,
   // only the per-frame copy and a small header cost scale with frames.
-  std::vector<u8> out;
+  const u32 q = QueueForCurrentCpu();
+  std::vector<u8>& out = recvm_out_;
+  out.clear();
   u32 frames = 0;
   while (!proc.pkt_queue.empty()) {
-    const std::vector<u8>& pkt = proc.pkt_queue.front();
+    std::vector<u8>& pkt = proc.pkt_queue.front();
     const u32 len = static_cast<u32>(pkt.size());
     const u32 rec = 4 + ((len + 3) & ~3u);
     if (static_cast<u32>(out.size()) + rec > cap) break;
     const size_t at = out.size();
     out.resize(at + rec, 0);
     std::memcpy(out.data() + at, &len, 4);
-    std::memcpy(out.data() + at + 4, pkt.data(), len);
+    if (len != 0) std::memcpy(out.data() + at + 4, pkt.data(), len);
     kernel_.Charge(kernel_.costs().pkt_msg_overhead + len * kernel_.costs().pkt_copy_per_byte);
+    ReleaseBuffer(q, std::move(pkt));
     proc.pkt_queue.pop_front();
     ++frames;
   }
@@ -688,12 +730,14 @@ void PacketDataplane::SysPktSendM(u32 buf, u32 total) {
     kernel_.ReturnFromGate(kErrInval);
     return;
   }
-  std::vector<u8> data(total);
+  std::vector<u8>& data = sendm_in_;
+  data.resize(total);
   if (!kernel_.CopyFromUser(proc, buf, data.data(), total)) {
     kernel_.ReturnFromGate(kErrFault);
     return;
   }
-  const u32 stride_cap = nic_.tx_ring(QueueForCurrentCpu()).buf_stride;
+  const u32 q = QueueForCurrentCpu();
+  const u32 stride_cap = nic_.tx_ring(q).buf_stride;
   u32 off = 0;
   u32 sent = 0;
   while (off + 4 <= total) {
@@ -707,10 +751,13 @@ void PacketDataplane::SysPktSendM(u32 buf, u32 total) {
       }
       break;
     }
-    std::vector<u8> frame(data.begin() + off + 4, data.begin() + off + 4 + len);
+    const u8* bytes = data.data() + off + 4;
     kernel_.Charge(kernel_.costs().pkt_msg_overhead + len * kernel_.costs().pkt_copy_per_byte);
-    if (tx_hook_) frame = tx_hook_(kernel_, proc, frame);
-    if (!Transmit(frame)) break;
+    std::vector<u8> frame = TakeBuffer(q);
+    frame.assign(bytes, bytes + len);
+    const bool sent_one = SendFrame(proc, frame);
+    ReleaseBuffer(q, std::move(frame));
+    if (!sent_one) break;
     ++sent;
     off += 4 + ((len + 3) & ~3u);
   }

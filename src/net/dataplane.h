@@ -243,7 +243,8 @@ class PacketDataplane {
 
   // Optional transform applied to frames a process sends with pkt_send; the
   // returned bytes are what actually enters the TX ring (the web server uses
-  // this to run request parsing/response formatting on the way out).
+  // this to run request parsing/response formatting on the way out). A
+  // returned vector with room for a full frame joins the buffer pool.
   using TxHook = std::function<std::vector<u8>(Kernel&, Process&, const std::vector<u8>&)>;
   void set_tx_hook(TxHook hook) { tx_hook_ = std::move(hook); }
 
@@ -252,7 +253,7 @@ class PacketDataplane {
   // DMA; when the ring is full the driver spins until the oldest pending
   // completion retires (charged to the sending vCPU). Returns false only
   // when the ring is unusable.
-  bool Transmit(const std::vector<u8>& frame);
+  bool Transmit(const u8* frame, u32 len);
 
   // The RSS hash: a stable function of (src ip, dst ip, proto, src port,
   // dst port) — the same hash the NIC uses for queue placement. Exposed so
@@ -286,16 +287,27 @@ class PacketDataplane {
   // Classifies `frames` (in arrival order) through the flows and delivers:
   // match bits are computed flow-major with batched crossings where
   // available; delivery and drop accounting then run in strict frame order,
-  // the same state machine as the per-frame oracle.
+  // the same state machine as the per-frame oracle. Delivered frames move
+  // to their process; the rest go back to the buffer pool.
   void ClassifyFrames(std::vector<std::vector<u8>>& frames);
   // True when every live destination of every live flow has a full queue
   // (then *blocker = the first full destination, for drop attribution).
   bool AllDestsSaturated(Process** blocker);
-  bool Deliver(FlowInfo& flow, const std::vector<u8>& frame);
+  // Moves `frame` into a destination's pkt_queue; on a drop it stays put.
+  bool Deliver(FlowInfo& flow, std::vector<u8>& frame);
+  // Runs the TX hook, if any, on a frame `proc` sent and transmits the result.
+  bool SendFrame(Process& proc, const std::vector<u8>& frame);
+  // Frame buffer pool of queue q: TakeBuffer returns an empty vector with
+  // capacity >= buf_stride; ReleaseBuffer keeps such a vector for reuse, up
+  // to kPoolCap per queue, and frees anything else.
+  std::vector<u8> TakeBuffer(u32 q);
+  void ReleaseBuffer(u32 q, std::vector<u8> buf);
   void WakeOneWaiter();
   // Pops up to `budget` DMA-completed frames off queue q's RX ring,
   // returning the descriptors to the hardware.
   void CollectRx(u32 q, u32 budget, std::vector<std::vector<u8>>* out);
+  // Moves `frame` to the RPS backlog and wakes a worker, or drops it.
+  void Backlog(u32 q, std::vector<u8>& frame);
   // NAPI poll loop for queue q: classify in batches, advancing the wire
   // between batches so frames arriving mid-poll are drained by this same
   // loop instead of raising fresh IRQs.
@@ -316,6 +328,23 @@ class PacketDataplane {
   TxHook tx_hook_;
   std::vector<u32> rx_consume_;  // per queue: next RX descriptor to inspect
   std::vector<u32> tx_produce_;  // per queue: next TX descriptor to fill
+  // Frame buffers, one pool per queue. A vCPU only touches the pool of
+  // QueueForCurrentCpu(), so vCPUs stepped on separate host threads would
+  // never share one.
+  static constexpr u32 kPoolCap = 64;
+  u32 buf_bytes_ = 0;  // capacity of a pooled buffer: the rings' buf_stride
+  std::vector<std::vector<std::vector<u8>>> pools_;
+  // Scratch reused across calls. The poll and backlog batches are separate
+  // because an RX IRQ can arrive while a backlog batch is being classified.
+  // ClassifyFrames never nests: IRQ-side classification is guarded by
+  // in_service_, backlog classification by in_classify_, and an IRQ taken
+  // during backlog classification (RPS) only queues raw frames.
+  std::vector<std::vector<u8>> poll_batch_;
+  std::vector<std::vector<u8>> drain_batch_;
+  std::vector<i32> first_match_;
+  std::vector<u32> match_idxs_;
+  std::vector<u8> recvm_out_;
+  std::vector<u8> sendm_in_;
   bool in_service_ = false;
   bool shutdown_ = false;
   std::deque<std::vector<u8>> backlog_;  // RPS: raw frames awaiting classification

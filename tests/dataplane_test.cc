@@ -91,7 +91,7 @@ TEST(Dataplane, EndToEndFilteredDeliveryMatchesHostGroundTruth) {
   EXPECT_EQ(stats.delivered, expected_matches);
   EXPECT_EQ(stats.dropped_no_match, kTotal - expected_matches);
   EXPECT_EQ(stats.tx_frames, expected_matches) << "every delivered frame was echoed to TX";
-  EXPECT_EQ(fx.nic.tx_frames().size(), expected_matches);
+  EXPECT_EQ(fx.nic.stats().tx_frames, expected_matches);
 
   // Round-robin across workers: both served some share.
   const i32 s1 = fx.f.kernel().process(w1)->exit_code;
@@ -306,7 +306,7 @@ ScenarioOutcome RunEchoScenario(const PacketDataplane::Config& dcfg, u32 workers
   out.exited = result.exited;
   nic.FlushTx();  // retire in-flight TX DMA so the wire log is complete
   out.stats = dp.stats();
-  out.wire_tx = nic.tx_frames().size();
+  out.wire_tx = nic.stats().tx_frames;
   for (Pid pid : pids) out.exit_codes.push_back(f.kernel().process(pid)->exit_code);
   return out;
 }
@@ -629,6 +629,111 @@ TEST(Dataplane, BatchFilterCodegenMatchesHostEval) {
 }
 
 // ---------------------------------------------------------------------------
+// Frame buffers: pooled per queue and reused across frames.
+
+enum class PoolMode { kNapi, kOracle, kRps };
+
+// One echo worker (pkt_recv/pkt_send, or pkt_recvm/pkt_sendm when
+// `batched`) serves a 1500 B frame and, long after that, a 64 B one; the
+// second frame reuses the buffer the first one returned to the pool. Returns
+// the wire log, which must hold exactly the two frames.
+std::vector<std::vector<u8>> EchoLargeThenSmall(PoolMode mode, bool batched,
+                                                std::vector<std::vector<u8>>* injected) {
+  PacketDataplane::Config dcfg =
+      mode == PoolMode::kOracle ? OracleConfig() : FastPathConfig();
+  dcfg.rps = mode == PoolMode::kRps;
+  KernelFixture f(1);
+  Scheduler sched(f.kernel());
+  KernelExtensionManager kext(f.kernel());
+  Nic nic(f.machine().pm(), f.kernel().pic(), kIrqNic);
+  PacketDataplane dp(f.kernel(), kext, nic, dcfg);
+  bool shutdown_issued = false;
+  sched.set_idle_hook([&]() {
+    if (shutdown_issued) return false;
+    shutdown_issued = true;
+    dp.Shutdown();
+    return true;
+  });
+  std::string diag;
+  const Pid w = f.LoadProgram(batched ? kPktEchoMWorkerSource : kPktEchoWorkerSource, &diag);
+  EXPECT_NE(w, 0u) << diag;
+  sched.AddProcess(w);
+  EXPECT_TRUE(dp.AddFlow("all", "ether.type == 0x0800", {w}, &diag)) << diag;
+
+  PacketSpec spec;
+  u64 at = 5'000;
+  for (u32 len : {1500u, 64u}) {
+    std::vector<u8> payload(len - PayloadOffset(spec.proto));
+    for (size_t j = 0; j < payload.size(); ++j) payload[j] = static_cast<u8>(len + j);
+    injected->push_back(
+        BuildPacketWithPayload(spec, payload.data(), static_cast<u32>(payload.size())));
+    nic.Inject(injected->back().data(), len, at);
+    at += 5'000'000;  // the first frame is served before the second arrives
+  }
+  auto result = sched.RunAll(1'000'000'000ull);
+  EXPECT_EQ(result.exited, 1u);
+  nic.FlushTx();
+  EXPECT_EQ(dp.stats().delivered, 2u);
+  EXPECT_EQ(f.kernel().process(w)->exit_code, 2);
+  std::vector<std::vector<u8>> wire;
+  for (u32 i = 0; i < nic.tx_log_frames(); ++i) wire.push_back(nic.tx_log_frame(i));
+  return wire;
+}
+
+TEST(DataplanePool, ReusedBufferDeliversExactlyTheNewFrame) {
+  for (PoolMode mode : {PoolMode::kNapi, PoolMode::kOracle, PoolMode::kRps}) {
+    for (bool batched : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode)
+                                      << (batched ? " pkt_recvm" : " pkt_recv"));
+      std::vector<std::vector<u8>> injected;
+      const auto wire = EchoLargeThenSmall(mode, batched, &injected);
+      ASSERT_EQ(wire.size(), 2u);
+      EXPECT_EQ(wire[0], injected[0]);
+      EXPECT_EQ(wire[1].size(), 64u) << "no bytes left over from the 1500 B frame";
+      EXPECT_EQ(wire[1], injected[1]);
+    }
+  }
+}
+
+// A worker that dies with delivered frames still in its pkt_queue: the
+// frames stay owned by the dead process (freed with it, which ASan checks
+// at exit), and later frames for it are dropped as dead-destination.
+TEST(DataplanePool, WorkerKilledWithQueuedFramesLeaksNothing) {
+  DataplaneFixture fx;
+  std::string diag;
+  const Pid w = fx.f.LoadProgram(R"(
+  .global main
+main:
+  mov $300000, %ecx       ; never calls pkt_recv: frames pile up
+spin:
+  dec %ecx
+  cmp $0, %ecx
+  jne spin
+  hlt                     ; killed from process context
+)",
+                                 &diag);
+  ASSERT_NE(w, 0u) << diag;
+  fx.sched.AddProcess(w);
+  ASSERT_TRUE(fx.dataplane.AddFlow("all", "ether.type == 0x0800", {w}, &diag)) << diag;
+  PacketSpec spec;
+  const auto frame = BuildPacket(spec);
+  for (u32 i = 0; i < 6; ++i) {
+    fx.nic.Inject(frame.data(), static_cast<u32>(frame.size()), 5'000 + i * 3'000);
+  }
+  for (u32 i = 0; i < 3; ++i) {  // long after the kill
+    fx.nic.Inject(frame.data(), static_cast<u32>(frame.size()), 50'000'000 + i * 3'000);
+  }
+  auto result = fx.sched.RunAll(1'000'000'000ull);
+  EXPECT_EQ(result.killed, 1u);
+  const Process& proc = *fx.f.kernel().process(w);
+  EXPECT_EQ(proc.state, ProcessState::kKilled);
+  EXPECT_EQ(proc.pkt_queue.size(), 6u) << "the frames were queued when the worker died";
+  for (const std::vector<u8>& queued : proc.pkt_queue) EXPECT_EQ(queued, frame);
+  EXPECT_EQ(fx.dataplane.stats().delivered, 6u);
+  EXPECT_EQ(fx.dataplane.stats().dropped_dead_dest, 3u);
+}
+
+// ---------------------------------------------------------------------------
 // Live filter upgrade under traffic.
 
 // An echo worker that, after serving its 3rd frame, issues syscall 235 — the
@@ -715,7 +820,7 @@ ScenarioOutcome RunLiveUpgradeScenario(bool upgrade, u64* flow_upgrades) {
   out.exited = result.exited;
   nic.FlushTx();
   out.stats = dp.stats();
-  out.wire_tx = nic.tx_frames().size();
+  out.wire_tx = nic.stats().tx_frames;
   out.exit_codes.push_back(f.kernel().process(w)->exit_code);
   *flow_upgrades = dp.stats().flow_upgrades;
   return out;

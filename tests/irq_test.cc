@@ -215,6 +215,10 @@ TEST(BareIrq, IrqTraceRecordsDeliveries) {
 
 // --- NIC ----------------------------------------------------------------------
 
+std::string AsString(const std::vector<u8>& bytes) {
+  return std::string(bytes.begin(), bytes.end());
+}
+
 struct NicFixture {
   BareMachine bm{BareMachineConfig{}};
   InterruptController pic;
@@ -291,24 +295,122 @@ TEST(NicModel, TxKickSchedulesDmaAndCompletesOnTheClock) {
   }
   // The doorbell only schedules DMA — nothing completes in zero time.
   EXPECT_EQ(f.nic.TxKick(0, 1000), 2u);
-  EXPECT_EQ(f.nic.tx_frames().size(), 0u);
+  EXPECT_EQ(f.nic.tx_log_frames(), 0u);
   const u64 dma = f.nic.tx_dma_cycles();
   EXPECT_EQ(f.nic.next_event(), 1000 + dma);
   f.nic.Advance(1000 + dma - 1);
-  EXPECT_EQ(f.nic.tx_frames().size(), 0u);
+  EXPECT_EQ(f.nic.tx_log_frames(), 0u);
   // Descriptors complete tx_dma_cycles apart, in ring order.
   f.nic.Advance(1000 + dma);
-  ASSERT_EQ(f.nic.tx_frames().size(), 1u);
-  EXPECT_EQ(std::string(f.nic.tx_frames()[0].begin(), f.nic.tx_frames()[0].end()), "alpha");
+  ASSERT_EQ(f.nic.tx_log_frames(), 1u);
+  EXPECT_EQ(AsString(f.nic.tx_log_frame(0)), "alpha");
   EXPECT_TRUE(f.pic.pending() & (1u << 6)) << "TX-completion IRQ raised";
   f.nic.Advance(1000 + 2 * dma);
-  ASSERT_EQ(f.nic.tx_frames().size(), 2u);
-  EXPECT_EQ(std::string(f.nic.tx_frames()[1].begin(), f.nic.tx_frames()[1].end()), "bravo");
+  ASSERT_EQ(f.nic.tx_log_frames(), 2u);
+  EXPECT_EQ(AsString(f.nic.tx_log_frame(1)), "bravo");
   EXPECT_EQ(f.nic.stats().tx_frames, 2u);
   // Completions landing in one Advance coalesce into one edge; here the two
   // retired in separate Advances, so two edges total.
   EXPECT_EQ(f.nic.stats().tx_completion_irqs, 2u);
   EXPECT_EQ(f.nic.TxKick(0, 5000), 0u) << "descriptors flipped to done";
+}
+
+// A distinct byte pattern per frame, so a stale or shifted byte shows.
+std::vector<u8> PatternFrame(u32 len, u32 seed) {
+  std::vector<u8> frame(len);
+  for (u32 j = 0; j < len; ++j) frame[j] = static_cast<u8>(seed * 31 + j * 7 + (j >> 8));
+  return frame;
+}
+
+// Arrivals are copied into per-queue arena chunks. Frames queued across a
+// chunk boundary, oversize frames (dropped at the wire, one above
+// buf_stride and one above a whole chunk), and a re-inject after the queue
+// drained must each land in the ring byte-identical to what was injected.
+TEST(NicModel, ArenaArrivalsDmaByteIdentical) {
+  NicFixture f;
+  u32 slot = 0;
+  u64 now = 100;
+  // Injects `frames` at consecutive cycles, all queued before the first DMA,
+  // then retires them one by one, recycling the four RX descriptors.
+  auto inject_then_check = [&](const std::vector<std::vector<u8>>& frames) {
+    const u64 first = now;
+    for (const auto& frame : frames) {
+      f.nic.Inject(frame.data(), static_cast<u32>(frame.size()), now++);
+    }
+    for (size_t k = 0; k < frames.size(); ++k) {
+      const u64 dropped = f.nic.stats().rx_dropped;
+      f.nic.Advance(first + k);
+      if (frames[k].size() > 2048) {
+        EXPECT_EQ(f.nic.stats().rx_dropped, dropped + 1) << "oversize frame " << k;
+        continue;
+      }
+      const u32 desc = 0x50000 + slot * kNicDescBytes;
+      u32 status = 0, len = 0, buf = 0;
+      f.bm.pm().Read32(desc + kNicDescStatus, &status);
+      f.bm.pm().Read32(desc + kNicDescLen, &len);
+      f.bm.pm().Read32(desc + kNicDescBuf, &buf);
+      ASSERT_EQ(status, kDescDone) << "frame " << k;
+      ASSERT_EQ(len, frames[k].size()) << "frame " << k;
+      std::vector<u8> landed(len);
+      f.bm.pm().ReadBlock(buf, landed.data(), len);
+      EXPECT_EQ(landed, frames[k]) << "frame " << k;
+      f.bm.pm().Write32(desc + kNicDescStatus, kDescOwn);  // driver returns the slot
+      slot = (slot + 1) % NicFixture::kEntries;
+    }
+  };
+  // ~2 KiB frames until they run well past the first 256 KiB chunk.
+  std::vector<std::vector<u8>> frames;
+  u32 total = 0;
+  for (u32 i = 0; total <= Nic::kArenaChunkBytes + 8192; ++i) {
+    frames.push_back(PatternFrame(1900 + i % 148, i));
+    total += static_cast<u32>(frames.back().size());
+    if (i == 40) frames.push_back(PatternFrame(3000, 999));
+    if (i == 90) frames.push_back(PatternFrame(Nic::kArenaChunkBytes + 100, 998));
+  }
+  inject_then_check(frames);
+  EXPECT_EQ(f.nic.stats().rx_frames, frames.size() - 2);
+  EXPECT_EQ(f.nic.stats().rx_dropped, 2u);
+  // The queue has drained; a later burst reuses the arena from its start.
+  inject_then_check({PatternFrame(64, 500), PatternFrame(1500, 501), PatternFrame(576, 502)});
+  EXPECT_EQ(f.nic.stats().rx_frames, frames.size() + 1);
+}
+
+// The TX log is one byte ring of [u32 len][bytes] records. After it wraps
+// (records split across its end included), it holds exactly the newest
+// frames that fit, oldest first, each byte-identical.
+TEST(NicModel, TxLogRingKeepsNewestFramesAcrossWrap) {
+  NicFixture f;
+  const u64 dma = f.nic.tx_dma_cycles();
+  u64 now = 1000;
+  std::vector<std::vector<u8>> sent;
+  for (u32 k = 0; k < 150; ++k) {
+    const u32 slot = k % NicFixture::kEntries;
+    const u32 desc = 0x51000 + slot * kNicDescBytes;
+    u32 buf = 0;
+    f.bm.pm().Read32(desc + kNicDescBuf, &buf);
+    sent.push_back(PatternFrame(997 + k % 7, k));  // odd lengths: padded records
+    f.bm.pm().WriteBlock(buf, sent.back().data(), static_cast<u32>(sent.back().size()));
+    f.bm.pm().Write32(desc + kNicDescLen, static_cast<u32>(sent.back().size()));
+    f.bm.pm().Write32(desc + kNicDescStatus, kDescOwn);
+    ASSERT_EQ(f.nic.TxKick(0, now), 1u);
+    now += dma;
+    f.nic.Advance(now);
+  }
+  EXPECT_EQ(f.nic.stats().tx_frames, sent.size());
+  // Expected retention: the newest records whose padded sizes fit the ring.
+  u32 bytes = 0, keep = 0;
+  for (size_t k = sent.size(); k-- > 0;) {
+    const u32 rec = 4 + ((static_cast<u32>(sent[k].size()) + 3) & ~3u);
+    if (bytes + rec > Nic::kTxLogBytes) break;
+    bytes += rec;
+    ++keep;
+  }
+  ASSERT_LT(keep, sent.size()) << "the ring must have wrapped";
+  ASSERT_EQ(f.nic.tx_log_frames(), keep);
+  for (u32 k = 0; k < keep; ++k) {
+    EXPECT_EQ(f.nic.tx_log_frame(k), sent[sent.size() - keep + k]) << "record " << k;
+  }
+  EXPECT_TRUE(f.nic.tx_log_frame(keep).empty());
 }
 
 // --- Kernel-level nested entries ---------------------------------------------

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "src/kernel/sched.h"
 #include "tests/kernel_test_util.h"
@@ -215,6 +217,77 @@ spin:
   EXPECT_EQ(r.outcome, RunOutcome::kCycleLimit);
   EXPECT_EQ(f.kernel().pic().delivered(kIrqTimer), 0u);
   EXPECT_EQ(f.kernel().process(pid)->state, ProcessState::kRunnable);
+}
+
+// A fork child is a stray: runnable, but in no ready queue. On 2 vCPUs the
+// idle vCPU must adopt it right after the fork, at the parent's fork cycle,
+// while the parent keeps running on its own core. Guards the gate on the
+// adopt scan: the fork has to reopen it.
+TEST(Sched, ForkChildAdoptedByIdleCpuAtForkCycle) {
+  KernelFixture f(/*num_cpus=*/2);
+  Scheduler sched(f.kernel());
+  struct Stamp {
+    u32 tag;
+    u32 cpu;
+    u64 cycle;
+  };
+  std::vector<Stamp> log;
+  f.kernel().RegisterSyscall(232, [&](Kernel& k, u32 ebx, u32, u32) {
+    log.push_back(Stamp{ebx, k.machine().current_cpu_index(), k.cpu().cycles()});
+    k.ReturnFromGate(0);
+  });
+  std::string diag;
+  const Pid parent = f.LoadProgram(R"(
+  .global main
+main:
+  mov $SYS_FORK, %eax
+  int $INT_SYSCALL
+  cmp $0, %eax
+  je child
+  mov $232, %eax
+  mov $1, %ebx            ; parent, just after the fork
+  int $INT_SYSCALL
+  mov $200000, %ecx
+spin:
+  dec %ecx
+  cmp $0, %ecx
+  jne spin
+  mov $232, %eax
+  mov $3, %ebx            ; parent, done spinning
+  int $INT_SYSCALL
+  mov $SYS_EXIT, %eax
+  mov $0, %ebx
+  int $INT_SYSCALL
+child:
+  mov $232, %eax
+  mov $2, %ebx            ; child, first instructions
+  int $INT_SYSCALL
+  mov $SYS_EXIT, %eax
+  mov $0, %ebx
+  int $INT_SYSCALL
+)",
+                                   &diag);
+  ASSERT_NE(parent, 0u) << diag;
+  sched.AddProcess(parent, /*home_cpu=*/0);
+
+  auto result = sched.RunAll(1'000'000'000ull);
+  EXPECT_EQ(result.exited, 2u);
+  EXPECT_EQ(sched.stats().steals, 0u);
+  ASSERT_EQ(log.size(), 3u);
+  std::map<u32, Stamp> by_tag;
+  for (const Stamp& s : log) by_tag[s.tag] = s;
+  ASSERT_EQ(by_tag.size(), 3u);
+  EXPECT_EQ(by_tag[1].cpu, 0u);
+  EXPECT_EQ(by_tag[3].cpu, 0u);
+  EXPECT_EQ(by_tag[2].cpu, 1u) << "the idle vCPU adopts the child";
+  // The child starts at the fork cycle: its clock snaps forward to the
+  // parent's, so both sides reach their first stamp a few instructions (and
+  // one context switch) after the fork returns.
+  const u64 parent_after = by_tag[1].cycle;
+  const u64 child_first = by_tag[2].cycle;
+  EXPECT_LT(child_first > parent_after ? child_first - parent_after : parent_after - child_first,
+            5'000u);
+  EXPECT_LT(child_first, by_tag[3].cycle) << "the child ran while the parent kept spinning";
 }
 
 }  // namespace
