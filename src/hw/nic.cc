@@ -86,25 +86,28 @@ void Nic::Inject(const u8* frame, u32 len, u64 at_cycle) {
   last_arrival_ = at_cycle;
   const u32 q =
       queues_.size() > 1 ? RssHash(frame, len) % static_cast<u32>(queues_.size()) : 0;
-  std::deque<ArenaChunk>& arena = queues_[q].arena;
-  // Every chunk but the newest holds undelivered frames; a drained newest
-  // chunk is refilled from its start, or replaced if the frame outgrows it.
-  if (!arena.empty() && arena.back().live == 0) {
-    arena.back().used = 0;
-    if (arena.back().size < len) arena.pop_back();
+  Queue& queue = queues_[q];
+  std::deque<ArenaChunk>& arena = queue.arena;
+  const u32 rec = kArrivalHeader + ((len + 3) & ~3u);
+  // Every chunk but the newest holds unread records; a drained newest chunk
+  // is refilled from its start, or replaced if the record outgrows it.
+  if (!arena.empty() && arena.back().read == arena.back().used) {
+    arena.back().used = arena.back().read = 0;
+    if (arena.back().size < rec) arena.pop_back();
   }
-  if (arena.empty() || arena.back().size - arena.back().used < len) {
+  if (arena.empty() || arena.back().size - arena.back().used < rec) {
     ArenaChunk chunk;
-    chunk.size = std::max(len, kArenaChunkBytes);
+    chunk.size = std::max(rec, kArenaChunkBytes);
     chunk.bytes.reset(new u8[chunk.size]);
     arena.push_back(std::move(chunk));
   }
   ArenaChunk& chunk = arena.back();
-  u8* bytes = chunk.bytes.get() + chunk.used;
-  if (len != 0) std::memcpy(bytes, frame, len);
-  chunk.used += len;
-  ++chunk.live;
-  queues_[q].arrivals.push_back(Arrival{at_cycle, bytes, len});
+  u8* const record = chunk.bytes.get() + chunk.used;
+  std::memcpy(record, &at_cycle, 8);
+  std::memcpy(record + 8, &len, 4);
+  if (len != 0) std::memcpy(record + kArrivalHeader, frame, len);
+  chunk.used += rec;
+  if (queue.next_arrival == kIdle) queue.next_arrival = at_cycle;
   // Both hub attachments must see the new arrival: the whole-device view
   // (single-hub harnesses) and the per-queue device on the owning core.
   NotifyHub();
@@ -194,8 +197,7 @@ std::vector<u8> Nic::tx_log_frame(u32 i) const {
 
 u64 Nic::QueueNextEvent(u32 q) const {
   const Queue& queue = queues_[q];
-  u64 next = kIdle;
-  if (!queue.arrivals.empty()) next = queue.arrivals.front().cycle;
+  u64 next = queue.next_arrival;
   if (!queue.tx_complete_at.empty()) next = std::min(next, queue.tx_complete_at.front());
   if (queue.rx_irq_due != kIdle) next = std::min(next, queue.rx_irq_due);
   return next;
@@ -203,17 +205,19 @@ u64 Nic::QueueNextEvent(u32 q) const {
 
 void Nic::AdvanceQueue(u32 q, u64 now) {
   Queue& queue = queues_[q];
-  while (!queue.arrivals.empty() && queue.arrivals.front().cycle <= now) {
-    const Arrival& arrival = queue.arrivals.front();
-    const u64 at = arrival.cycle;
+  while (queue.next_arrival != kIdle && queue.next_arrival <= now) {
+    const u64 at = queue.next_arrival;
+    const u8* const record = queue.arena.front().bytes.get() + queue.arena.front().read;
+    u32 len = 0;
+    std::memcpy(&len, record + 8, 4);
     // Oversize frames never land truncated-but-"complete": the wire drops
     // them (no jumbo support), the same as a ring with no free descriptor.
-    if (arrival.len > queue.rx.buf_stride) {
+    if (len > queue.rx.buf_stride) {
       ++stats_.rx_dropped;
-    } else if (DmaRxFrame(queue, arrival.bytes, arrival.len)) {
+    } else if (DmaRxFrame(queue, record + kArrivalHeader, len)) {
       if (recorder_ != nullptr) {
         recorder_->Record(obs_first_track_ + q, at, obs::EventType::kFrameDma,
-                          obs::EventClass::kArch, q, arrival.len);
+                          obs::EventClass::kArch, q, len);
       }
       if (queue.rx_irq_enabled) {
         if (rx_irq_moderation_ == 0) {
@@ -238,10 +242,18 @@ void Nic::AdvanceQueue(u32 q, u64 now) {
       // wait — the frame is dropped, silently from the driver's view.
       ++stats_.rx_dropped;
     }
-    queue.arrivals.pop_front();
-    // The oldest undelivered frame sits in the front chunk; free the chunk
-    // with its last frame unless Inject is still appending to it.
-    if (--queue.arena.front().live == 0 && queue.arena.size() > 1) queue.arena.pop_front();
+    // Consume the record, freeing its chunk once drained unless Inject is
+    // still appending to it, and expose the next record's cycle.
+    ArenaChunk* chunk = &queue.arena.front();
+    chunk->read += kArrivalHeader + ((len + 3) & ~3u);
+    if (chunk->read == chunk->used && queue.arena.size() > 1) {
+      queue.arena.pop_front();
+      chunk = &queue.arena.front();
+    }
+    queue.next_arrival = kIdle;
+    if (chunk->read != chunk->used) {
+      std::memcpy(&queue.next_arrival, chunk->bytes.get() + chunk->read, 8);
+    }
   }
   if (queue.rx_irq_due != kIdle && queue.rx_irq_due <= now) {
     if (queue.rx_irq_enabled && queue.pic != nullptr) {

@@ -330,8 +330,10 @@ class PacketDataplane {
   std::vector<u32> tx_produce_;  // per queue: next TX descriptor to fill
   // Frame buffers, one pool per queue. A vCPU only touches the pool of
   // QueueForCurrentCpu(), so vCPUs stepped on separate host threads would
-  // never share one.
-  static constexpr u32 kPoolCap = 64;
+  // never share one. Raising the cap from 16 to 64 saved under 0.03
+  // allocations per frame on the packet benchmarks, and its idle spares
+  // raised peak RSS.
+  static constexpr u32 kPoolCap = 16;
   u32 buf_bytes_ = 0;  // capacity of a pooled buffer: the rings' buf_stride
   std::vector<std::vector<std::vector<u8>>> pools_;
   // Scratch reused across calls. The poll and backlog batches are separate

@@ -358,14 +358,14 @@ TEST(NicModel, ArenaArrivalsDmaByteIdentical) {
       slot = (slot + 1) % NicFixture::kEntries;
     }
   };
-  // ~2 KiB frames until they run well past the first 256 KiB chunk.
+  // ~2 KiB frames until they run well past the first two chunks.
   std::vector<std::vector<u8>> frames;
   u32 total = 0;
-  for (u32 i = 0; total <= Nic::kArenaChunkBytes + 8192; ++i) {
+  for (u32 i = 0; total <= 2 * Nic::kArenaChunkBytes + 8192; ++i) {
     frames.push_back(PatternFrame(1900 + i % 148, i));
     total += static_cast<u32>(frames.back().size());
-    if (i == 40) frames.push_back(PatternFrame(3000, 999));
-    if (i == 90) frames.push_back(PatternFrame(Nic::kArenaChunkBytes + 100, 998));
+    if (i == 10) frames.push_back(PatternFrame(3000, 999));
+    if (i == 40) frames.push_back(PatternFrame(Nic::kArenaChunkBytes + 100, 998));
   }
   inject_then_check(frames);
   EXPECT_EQ(f.nic.stats().rx_frames, frames.size() - 2);
